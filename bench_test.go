@@ -145,8 +145,9 @@ func BenchmarkAblationRRCSetupSkip(b *testing.B) {
 	b.Run("skip", func(b *testing.B) { benchSlotLoop(b, 8, core.WithVerifyMSG4(false)) })
 }
 
-// BenchmarkAblationUEListSharding measures the §4 DCI-thread sharding.
-func BenchmarkAblationUEListSharding(b *testing.B) {
+// BenchmarkAblationDCIThreads measures the §4 DCI threads, which stripe
+// the candidate-position pass.
+func BenchmarkAblationDCIThreads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "1thread", 2: "2threads", 4: "4threads"}[threads], func(b *testing.B) {
 			benchSlotLoop(b, 64, core.WithDCIThreads(threads))

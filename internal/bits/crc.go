@@ -183,49 +183,53 @@ func CheckDCICRC(block []uint8, rnti uint16) (payload []uint8, ok bool) {
 	return payload, true
 }
 
+// dciCRCReg returns the CRC24C register over 24 prepended ones plus the
+// payload (TS 38.212 §7.3.2): CRC's recurrence, inlined so per-candidate
+// checks stay off the heap, resuming from dciOnesReg, the constant
+// register state after the ones.
+func dciCRCReg(payload []uint8) uint32 {
+	const n = 24
+	const mask = uint32(1)<<n - 1
+	reg := dciOnesReg
+	for _, b := range payload {
+		fb := (reg>>(n-1))&1 ^ uint32(b&1)
+		reg = (reg << 1) & mask
+		if fb != 0 {
+			reg ^= polyCRC24C
+		}
+	}
+	return reg
+}
+
+var dciOnesReg = func() uint32 {
+	ones := make([]uint8, dciCRCOnes)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return uint32(ToUint(CRC(CRC24C, ones)))
+}()
+
+// receivedCRC packs the trailing 24 bits of a DCI block, MSB-first.
+func receivedCRC(block []uint8) uint32 {
+	var rx uint32
+	for _, b := range block[len(block)-24:] {
+		rx = rx<<1 | uint32(b&1)
+	}
+	return rx
+}
+
 // MatchDCICRC reports whether block (payload || scrambled CRC24) passes
 // the DCI CRC under the hypothesised RNTI. It is CheckDCICRC without the
-// payload return and without any allocation: the blind decoder runs one
-// CRC hypothesis per tracked UE per candidate position per TTI, so this
-// is the single hottest per-UE operation of the whole scope.
+// payload return and without any allocation. It holds exactly when
+// RecoverRNTI(block) recovers rnti; the blind decoder itself recovers
+// each position's RNTI once instead of testing hypotheses.
 func MatchDCICRC(block []uint8, rnti uint16) bool {
 	if len(block) < 24 {
 		return false
 	}
-	const n = 24
-	const mask = uint32(1)<<n - 1
-	var reg uint32
-	// CRC24C over 24 prepended ones plus the payload, registers at zero
-	// (same recurrence as CRC, inlined to keep the buffers off the heap).
-	for i := 0; i < dciCRCOnes; i++ {
-		fb := (reg>>(n-1))&1 ^ 1
-		reg = (reg << 1) & mask
-		if fb != 0 {
-			reg ^= polyCRC24C & mask
-		}
-	}
-	for _, b := range block[:len(block)-24] {
-		fb := (reg>>(n-1))&1 ^ uint32(b&1)
-		reg = (reg << 1) & mask
-		if fb != 0 {
-			reg ^= polyCRC24C & mask
-		}
-	}
-	got := block[len(block)-24:]
 	// The upper 8 CRC bits are transmitted in the clear; the lower 16 are
 	// XOR-scrambled with the RNTI (MSB-first).
-	for i := 0; i < 8; i++ {
-		if uint8(reg>>uint(n-1-i))&1 != got[i]&1 {
-			return false
-		}
-	}
-	for i := 0; i < 16; i++ {
-		want := uint8(reg>>uint(15-i))&1 ^ uint8(rnti>>uint(15-i))&1
-		if want != got[8+i]&1 {
-			return false
-		}
-	}
-	return true
+	return dciCRCReg(block[:len(block)-24])^uint32(rnti) == receivedCRC(block)
 }
 
 // RecoverRNTI implements the sniffer trick the paper inherits from 4G
@@ -233,22 +237,16 @@ func MatchDCICRC(block []uint8, rnti uint16) bool {
 // an unknown RNTI, locally recompute the CRC of the payload and XOR it
 // with the received CRC. If the block decoded correctly, the upper 8 CRC
 // bits (which the RNTI does not touch) match — that is the verification —
-// and the XOR of the lower 16 bits *is* the RNTI.
+// and the XOR of the lower 16 bits *is* the RNTI. It allocates nothing:
+// the blind decoder runs it once per decoded candidate position per TTI.
 func RecoverRNTI(block []uint8) (payload []uint8, rnti uint16, ok bool) {
 	if len(block) < 24 {
 		return nil, 0, false
 	}
 	payload = block[:len(block)-24]
-	want := dciCRCPrefix(payload)
-	got := block[len(block)-24:]
-	for i := 0; i < 8; i++ {
-		if want[i] != got[i] {
-			return payload, 0, false
-		}
+	x := dciCRCReg(payload) ^ receivedCRC(block)
+	if x>>16 != 0 {
+		return payload, 0, false
 	}
-	var r uint16
-	for i := 0; i < 16; i++ {
-		r = r<<1 | uint16(want[8+i]^got[8+i])
-	}
-	return payload, r, true
+	return payload, uint16(x), true
 }

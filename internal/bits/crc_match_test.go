@@ -51,3 +51,55 @@ func TestMatchDCICRCZeroAlloc(t *testing.T) {
 		t.Errorf("MatchDCICRC: %.1f allocs/op, want 0", n)
 	}
 }
+
+// TestMatchDCICRCIffRecoverRNTI: the property the RNTI-indexed blind
+// decoder rests on — MatchDCICRC(b, r) holds exactly when RecoverRNTI(b)
+// returns (r, true) — over random blocks (which mostly fail the clear
+// CRC bits), freshly attached blocks, and hypotheses that are either
+// random or the recovered RNTI itself. The allocating CheckDCICRC is the
+// reference for both.
+func TestMatchDCICRCIffRecoverRNTI(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 5000; trial++ {
+		payload := make([]uint8, 1+rng.Intn(140))
+		for i := range payload {
+			payload[i] = uint8(rng.Intn(2))
+		}
+		var block []uint8
+		if trial%2 == 0 {
+			block = AttachDCICRC(payload, uint16(rng.Intn(1<<16)))
+			if trial%4 == 0 {
+				block[rng.Intn(len(block))] ^= 1
+			}
+		} else {
+			block = append(payload, make([]uint8, 24)...)
+			for i := len(payload); i < len(block); i++ {
+				block[i] = uint8(rng.Intn(2))
+			}
+		}
+		_, rec, ok := RecoverRNTI(block)
+		for _, r := range []uint16{uint16(rng.Intn(1 << 16)), rec, rec ^ 1} {
+			got := MatchDCICRC(block, r)
+			if want := ok && rec == r; got != want {
+				t.Fatalf("trial %d rnti %#x: Match %v, RecoverRNTI (%#x, %v)", trial, r, got, rec, ok)
+			}
+			if _, ref := CheckDCICRC(block, r); got != ref {
+				t.Fatalf("trial %d rnti %#x: Match %v, CheckDCICRC %v", trial, r, got, ref)
+			}
+		}
+	}
+}
+
+func TestRecoverRNTIZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	block := AttachDCICRC(make([]uint8, 67), 0x4601)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, r, ok := RecoverRNTI(block); !ok || r != 0x4601 {
+			t.Fatal("recovery failed")
+		}
+	}); n != 0 {
+		t.Errorf("RecoverRNTI: %.1f allocs/op, want 0", n)
+	}
+}

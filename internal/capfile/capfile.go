@@ -28,6 +28,7 @@ import (
 const (
 	magic   = "NRSC"
 	version = 1
+	maxPRB  = 275 // widest NR carrier (TS 38.101-1 Table 5.3.2-1)
 )
 
 // Header identifies a capture stream.
@@ -50,7 +51,7 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 	if !hdr.Mu.Valid() {
 		return nil, fmt.Errorf("capfile: invalid numerology")
 	}
-	if hdr.NumPRB < 1 || hdr.NumPRB > 275 {
+	if hdr.NumPRB < 1 || hdr.NumPRB > maxPRB {
 		return nil, fmt.Errorf("capfile: numPRB %d", hdr.NumPRB)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -118,6 +119,10 @@ func (w *Writer) Close() error {
 type Reader struct {
 	br  *bufio.Reader
 	hdr Header
+	// Read buffers reused across Next calls: the fixed record header
+	// and one record's raw samples.
+	fixed [1 + 8 + 2 + 2 + 8 + 8]byte
+	buf   []byte
 }
 
 // NewReader validates the header and returns a reader.
@@ -138,7 +143,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 		Mu:     phy.Numerology(head[8]),
 		NumPRB: int(binary.LittleEndian.Uint16(head[9:])),
 	}
-	if !hdr.Mu.Valid() || hdr.NumPRB < 1 {
+	// A header's width sizes every grid the reader allocates: bound it as
+	// the Writer does, so a corrupt file cannot demand gigabytes.
+	if !hdr.Mu.Valid() || hdr.NumPRB < 1 || hdr.NumPRB > maxPRB {
 		return nil, fmt.Errorf("capfile: corrupt header %+v", hdr)
 	}
 	return &Reader{br: br, hdr: hdr}, nil
@@ -148,9 +155,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (r *Reader) Header() Header { return r.hdr }
 
 // Next reads one capture; io.EOF marks the clean end of the stream.
+// Every capture and its grid are freshly allocated, so callers may hold
+// them; only the read buffers are reused.
 func (r *Reader) Next() (*radio.Capture, error) {
-	var fixed [1 + 8 + 2 + 2 + 8 + 8]byte
-	if _, err := io.ReadFull(r.br, fixed[:]); err != nil {
+	fixed := r.fixed[:]
+	if _, err := io.ReadFull(r.br, fixed); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -168,7 +177,10 @@ func (r *Reader) Next() (*radio.Capture, error) {
 	if fixed[0]&1 == 1 {
 		g := phy.NewGrid(r.hdr.NumPRB)
 		s := g.Samples()
-		buf := make([]byte, 8*len(s))
+		if len(r.buf) < 8*len(s) {
+			r.buf = make([]byte, 8*len(s))
+		}
+		buf := r.buf[:8*len(s)]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return nil, fmt.Errorf("capfile: truncated grid: %w", err)
 		}

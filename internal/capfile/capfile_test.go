@@ -2,6 +2,7 @@ package capfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"nrscope/internal/channel"
 	"nrscope/internal/core"
 	"nrscope/internal/phy"
+	"nrscope/internal/raceflag"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
 )
@@ -171,5 +173,115 @@ func TestOfflineReplayMatchesLive(t *testing.T) {
 	// telemetry must match exactly.
 	if replayRecords != liveRecords {
 		t.Errorf("replay found %d records, live %d", replayRecords, liveRecords)
+	}
+}
+
+// TestReaderRejectsOversizedHeader: the header's PRB count sizes every
+// grid Next allocates, so a ~40-byte file claiming 65535 PRBs must be
+// rejected up front rather than allocate ~260 MB per record.
+func TestReaderRejectsOversizedHeader(t *testing.T) {
+	hdr := []byte("NRSC")
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 1) // cell id
+	hdr = append(hdr, byte(phy.Mu1))
+	for _, prbs := range []uint16{maxPRB + 1, 65535} {
+		file := binary.LittleEndian.AppendUint16(append([]byte(nil), hdr...), prbs)
+		file = append(file, 1)                   // tag: grid follows
+		file = append(file, make([]byte, 28)...) // slot, ref, n0, snr
+		r, err := NewReader(bytes.NewReader(file))
+		if err == nil {
+			_, _ = r.Next()
+			t.Errorf("header with %d PRBs accepted", prbs)
+		}
+	}
+	file := binary.LittleEndian.AppendUint16(append([]byte(nil), hdr...), maxPRB)
+	if _, err := NewReader(bytes.NewReader(file)); err != nil {
+		t.Errorf("widest carrier rejected: %v", err)
+	}
+}
+
+// TestNextReusesReadBuffer: Next allocates only the capture and its grid
+// (callers may hold both), never a per-record read buffer.
+func TestNextReusesReadBuffer(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const prbs, records = 51, 110
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{CellID: 1, Mu: phy.Mu1, NumPRB: prbs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := phy.NewGrid(prbs)
+	for i := 0; i < records; i++ {
+		g.Set(0, 0, complex(float64(i), 0))
+		if err := w.Append(&radio.Capture{SlotIdx: i, Grid: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *radio.Capture
+	perNext := testing.AllocsPerRun(records-10, func() {
+		c, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && &c.Grid.Samples()[0] == &prev.Grid.Samples()[0] {
+			t.Fatal("consecutive captures share a grid")
+		}
+		if got := real(c.Grid.At(0, 0)); got != float64(c.SlotIdx) {
+			t.Fatalf("slot %d sample %v", c.SlotIdx, got)
+		}
+		prev = c
+	})
+	perGrid := testing.AllocsPerRun(10, func() { _ = phy.NewGrid(prbs) })
+	if want := perGrid + 1; perNext != want {
+		t.Errorf("Next: %.1f allocs/record, want %.1f (capture + grid)", perNext, want)
+	}
+}
+
+// TestNarrowGridReplayDoesNotPanic: a replay header may claim a grid
+// narrower than the PBCH span. Cell search on it must fail cleanly (a
+// 1-PRB file used to index out of range inside the PBCH decoder).
+func TestNarrowGridReplayDoesNotPanic(t *testing.T) {
+	for _, prbs := range []int{1, 19} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, Header{CellID: 1, Mu: phy.Mu1, NumPRB: prbs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := phy.NewGrid(prbs)
+		g.Set(0, 0, complex(1, 1))
+		for i := 0; i < 3; i++ {
+			if err := w.Append(&radio.Capture{SlotIdx: i, N0: 0.01, Grid: g}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scope := core.New(r.Header().CellID)
+		for {
+			c, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := scope.ProcessSlot(c); res.MIBAcquired {
+				t.Errorf("%d PRBs: MIB acquired from an empty grid", prbs)
+			}
+		}
 	}
 }

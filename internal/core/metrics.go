@@ -27,19 +27,22 @@ var met = struct {
 	poolSteals    *obs.Counter
 
 	// Scope decode path.
-	decodeLatency  *obs.Histogram
-	slots          *obs.Counter
-	positions      *obs.Counter
-	positionsEmpty *obs.Counter
-	candAttempted  *obs.Counter
-	candMatched    *obs.Counter
-	decodeFailed   *obs.Counter
-	crntiRecovers  *obs.Counter
-	msg4Hits       *obs.Counter
-	mibAcquired    *obs.Counter
-	sib1Acquired   *obs.Counter
-	mergeDropped   *obs.Counter
-	uesTracked     *obs.Gauge
+	decodeLatency   *obs.Histogram
+	slots           *obs.Counter
+	positions       *obs.Counter
+	positionsEmpty  *obs.Counter
+	candAttempted   *obs.Counter
+	candMatched     *obs.Counter
+	decodeFailed    *obs.Counter
+	crntiRecovers   *obs.Counter
+	msg4Hits        *obs.Counter
+	msg4Unannounced *obs.Counter
+	tcExpired       *obs.Counter
+	pdschDecodes    *obs.Counter
+	mibAcquired     *obs.Counter
+	sib1Acquired    *obs.Counter
+	mergeDropped    *obs.Counter
+	uesTracked      *obs.Gauge
 }{
 	queueDepth: obs.Default.Gauge("nrscope_pipeline_queue_depth",
 		"captures waiting in the pipeline input queue"),
@@ -80,7 +83,7 @@ var met = struct {
 	positionsEmpty: obs.Default.Counter("nrscope_scope_blind_positions_empty_total",
 		"candidate positions skipped because no transmission is possible there (payload exceeds the aggregation level's capacity)"),
 	candAttempted: obs.Default.Counter("nrscope_scope_blind_candidates_attempted_total",
-		"blind-decode candidates attempted (CSS decodes + per-UE CRC checks)"),
+		"DCI CRC checks run: one RNTI recovery per CSS candidate tried and per decoded USS position"),
 	candMatched: obs.Default.Counter("nrscope_scope_blind_candidates_matched_total",
 		"candidates that CRC-checked and translated into grants"),
 	decodeFailed: obs.Default.Counter("nrscope_scope_decode_failures_total",
@@ -89,6 +92,12 @@ var met = struct {
 		"RNTIs recovered from DCI CRC XOR in the common search space"),
 	msg4Hits: obs.Default.Counter("nrscope_scope_msg4_hits_total",
 		"MSG4 discoveries (new-UE C-RNTI candidates accepted)"),
+	msg4Unannounced: obs.Default.Counter("nrscope_scope_msg4_unannounced_total",
+		"CSS RNTI recoveries dropped as MSG4 candidates because no decoded RAR announced the TC-RNTI"),
+	tcExpired: obs.Default.Counter("nrscope_scope_tcrnti_expired_total",
+		"announced TC-RNTIs whose contention-resolution window closed without a MSG4"),
+	pdschDecodes: obs.Default.Counter("nrscope_scope_pdsch_decodes_total",
+		"common-search-space PDSCH decodes (SIB1, RAR, MSG4 verify)"),
 	mibAcquired: obs.Default.Counter("nrscope_scope_mib_acquired_total",
 		"MIB acquisitions merged into scope state"),
 	sib1Acquired: obs.Default.Counter("nrscope_scope_sib1_acquired_total",

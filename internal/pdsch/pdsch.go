@@ -238,9 +238,13 @@ func DecodePBCH(g *phy.Grid, cellID uint16, n0 float64) ([]byte, bool) {
 
 // DecodePBCHInto is DecodePBCH appending the MIB bytes to dst[:0] with
 // pooled scratch, mirroring DecodeInto: on failure it returns dst[:0]
-// (capacity retained) and false.
+// (capacity retained) and false. A grid narrower than the PBCH span (a
+// corrupt or foreign replay file) carries no PBCH and fails the same way.
 func DecodePBCHInto(dst []byte, g *phy.Grid, cellID uint16, n0 float64) ([]byte, bool) {
 	dst = dst[:0]
+	if g.NumPRB < PBCHStartPRB+PBCHNumPRB {
+		return dst, false
+	}
 	const nSyms = PBCHNumPRB * phy.SubcarriersPerPRB * PBCHNumSym
 	sc := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(sc)

@@ -176,6 +176,14 @@ func TestPBCHFailsWithoutSignal(t *testing.T) {
 	}
 }
 
+func TestPBCHFailsOnNarrowGrid(t *testing.T) {
+	for _, prbs := range []int{1, PBCHStartPRB + PBCHNumPRB - 1} {
+		if _, ok := DecodePBCHInto(nil, phy.NewGrid(prbs), cellID, 0.01); ok {
+			t.Errorf("%d-PRB grid decoded a PBCH", prbs)
+		}
+	}
+}
+
 func TestAllocationREsOrderAndBounds(t *testing.T) {
 	grant := controlGrant(t, 1, 3, 2)
 	res := allocationREs(grant, 1<<20)
