@@ -19,6 +19,7 @@ import (
 	"nrscope/internal/eval"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
+	"nrscope/internal/shard"
 	"nrscope/internal/traffic"
 )
 
@@ -162,10 +163,12 @@ func BenchmarkAblationDMRSGate(b *testing.B) {
 	b.Run("bruteforce", func(b *testing.B) { benchSlotLoop(b, 16, core.WithDMRSGate(false)) })
 }
 
-// BenchmarkAblationWorkerPool compares the synchronous slot loop with
-// the Fig.-4 asynchronous worker pool at several widths.
+// BenchmarkAblationWorkerPool compares decoding inline in the capture
+// loop with handing captures to a one-shard supervisor whose worker
+// decodes them (the -shards path), so capture synthesis and decode
+// overlap on two cores.
 func BenchmarkAblationWorkerPool(b *testing.B) {
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, sharded bool) {
 		cfg := ran.AmarisoftCell()
 		cfg.Seed = 78
 		gnb, err := ran.NewGNB(cfg, 1<<21)
@@ -175,27 +178,41 @@ func BenchmarkAblationWorkerPool(b *testing.B) {
 		for i := 0; i < 8; i++ {
 			gnb.AddUE(nil, -1)
 		}
-		// No buffer reuse: the pipeline queues captures.
+		// No buffer reuse in either arm: the shard queue holds captures.
 		rx := radio.NewReceiver(channel.Normal, 22, 5)
 		scope := core.New(cfg.CellID)
-		pipe := core.NewPipeline(scope, workers, 64)
-		done := make(chan struct{})
-		go func() {
-			for range pipe.Results() {
+		process := func(c *radio.Capture) { scope.ProcessSlot(c) }
+		var sup *shard.Supervisor
+		if sharded {
+			sup = shard.New(shard.Config{Policy: shard.Block, StallTimeout: -1})
+			if _, err := sup.AddCell(cfg.CellID, cfg.Mu); err != nil {
+				b.Fatal(err)
 			}
-			close(done)
-		}()
+			if err := sup.AttachScope(cfg.CellID, scope); err != nil {
+				b.Fatal(err)
+			}
+			if err := sup.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer sup.Close()
+			process = func(c *radio.Capture) {
+				if err := sup.SubmitCapture(cfg.CellID, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out := gnb.Step()
-			pipe.Submit(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
+			process(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
 		}
-		pipe.Close()
-		<-done
+		if sup != nil {
+			sup.Flush()
+		}
 	}
-	b.Run("1worker", func(b *testing.B) { run(b, 1) })
-	b.Run("4workers", func(b *testing.B) { run(b, 4) })
+	b.Run("inline", func(b *testing.B) { run(b, false) })
+	b.Run("shard", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkEndToEndTestbed measures the full facade path (the number a

@@ -40,9 +40,6 @@
 // remote store. At exit every bus subscription prints a delivery
 // summary (delivered / dropped / retries / quarantines).
 //
-// The legacy -log PATH and -stream ADDR flags remain as shorthands for
-// jsonl: and tcp: sinks.
-//
 // With -shards N the cells (the -cell preset plus every -fuse-cell) are
 // partitioned across N supervised shards (internal/shard): each shard
 // owns its own history partition, bus publisher, and — in multi-cell
@@ -59,7 +56,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"nrscope"
@@ -90,10 +86,7 @@ func main() {
 		ues      = flag.Int("ues", 2, "number of simulated UEs")
 		duration = flag.Duration("duration", 5*time.Second, "capture duration")
 		threads  = flag.Int("threads", 1, "DCI decoding threads")
-		decodeTh = flag.Int("decode-threads", 0, "decode-pool workers for standalone runs: slot blind-decode moves off the capture loop onto a shared worker pool, cells decoding concurrently (0 = decode inline)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		logPath  = flag.String("log", "", "telemetry JSONL output file (shorthand for -sink jsonl:PATH)")
-		stream   = flag.String("stream", "", "TCP address to serve live telemetry on (shorthand for -sink tcp:ADDR)")
 		rotateMB = flag.Int64("sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
 		noVerify = flag.Bool("skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
 		record   = flag.String("record", "", "save the raw capture stream to this file")
@@ -127,13 +120,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nrscope: observability on http://%s/metrics\n", srv.Addr())
 	}
 
-	// Legacy shorthands feed the same bus as explicit -sink flags.
-	if *logPath != "" {
-		sinks = append(sinks, "jsonl:"+*logPath)
-	}
-	if *stream != "" {
-		sinks = append(sinks, "tcp:"+*stream)
-	}
 	b, closeBus, err := setupSinks(sinks, *rotateMB, metricsSrv)
 	if err != nil {
 		log.Fatal(err)
@@ -195,7 +181,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", metricsSrv.Addr())
 		}
 	}
-	defer closeBus()
 
 	opts := buildOpts(*threads, *noVerify, *idleHorizon)
 	if len(fuseCells) > 0 {
@@ -205,7 +190,7 @@ func main() {
 		// Multi-cell mode: the scopes do not publish to the bus
 		// themselves — the fusion aggregator mirrors the fused stream
 		// onto it, and feeds the (shared) history store directly.
-		runMultiCell(append([]string{*cellName}, fuseCells...), *ues, *duration, *seed, opts, b, store, *idleHorizon, *decodeTh)
+		runMultiCell(append([]string{*cellName}, fuseCells...), *ues, *duration, *seed, opts, b, store, *idleHorizon)
 		closeBus()
 		if store != nil {
 			printHistorySummary(store)
@@ -266,8 +251,14 @@ func main() {
 
 	var records, newUEs int
 	var elapsed time.Duration
-	var processed int
-	handle := func(res *nrscope.SlotResult) {
+	slots := int(*duration / tb.TTI())
+	for i := 0; i < slots; i++ {
+		cap, res := tb.StepCapture()
+		if recorder != nil {
+			if err := recorder.Append(cap); err != nil {
+				log.Fatal(err)
+			}
+		}
 		if res.MIBAcquired {
 			fmt.Fprintf(os.Stderr, "nrscope: MIB acquired at slot %d\n", res.SlotIdx)
 		}
@@ -280,47 +271,8 @@ func main() {
 		}
 		records += len(res.Records)
 		elapsed += res.Elapsed
-		processed++
 		if store != nil && res.Spare != nil {
 			store.IngestSpare(cellID, res.SlotIdx, res.Spare)
-		}
-	}
-	slots := int(*duration / tb.TTI())
-	if *decodeTh > 0 {
-		// Capture synthesis and blind decode overlap through the pool;
-		// per-cell slot order stays strict. The handler runs on a worker
-		// goroutine, so the run counters take a lock.
-		pool := nrscope.NewDecodePool(*decodeTh, 256)
-		var mu sync.Mutex
-		if err := pool.AddCell(cellID, tb.Scope, func(res *nrscope.SlotResult) {
-			mu.Lock()
-			handle(res)
-			mu.Unlock()
-		}); err != nil {
-			log.Fatal(err)
-		}
-		if err := pool.Start(); err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < slots; i++ {
-			cap := tb.StepRaw()
-			if recorder != nil {
-				if err := recorder.Append(cap); err != nil {
-					log.Fatal(err)
-				}
-			}
-			pool.Submit(cellID, cap)
-		}
-		pool.Close()
-	} else {
-		for i := 0; i < slots; i++ {
-			cap, res := tb.StepCapture()
-			if recorder != nil {
-				if err := recorder.Append(cap); err != nil {
-					log.Fatal(err)
-				}
-			}
-			handle(res)
 		}
 	}
 	if recorder != nil {
@@ -328,7 +280,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "nrscope: %d records, %d UEs discovered, mean processing %.1f us/slot\n",
-		records, newUEs, float64(elapsed.Microseconds())/float64(processed))
+		records, newUEs, float64(elapsed.Microseconds())/float64(slots))
 	for _, rnti := range tb.Scope.KnownUEs() {
 		dl := tb.Scope.Bitrate(rnti, true, tb.GNB.SlotIdx())
 		ul := tb.Scope.Bitrate(rnti, false, tb.GNB.SlotIdx())
@@ -518,7 +470,7 @@ func runSharded(cellNames []string, shards, ues int, duration time.Duration, see
 // (one bounded copy of the bins backs both); without it the aggregator
 // owns a private store at the 10 ms correlation bin. Either way memory
 // stays flat for arbitrarily long runs.
-func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int64, opts []nrscope.Option, b *bus.Bus, store *history.Store, idleHorizon time.Duration, decodeThreads int) {
+func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int64, opts []nrscope.Option, b *bus.Bus, store *history.Store, idleHorizon time.Duration) {
 	agg := fusion.NewWithStore(store)
 	if idleHorizon > 0 {
 		agg.IdleHorizon = idleHorizon
@@ -553,16 +505,10 @@ func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int6
 
 	var records int
 	step := 50 * time.Millisecond
-	if decodeThreads > 0 {
-		// Shared decode pool: every cell's blind decode runs on the
-		// worker set, cells in parallel, slots per cell in order. The
-		// handlers feed the (single) aggregator under a lock.
-		pool := nrscope.NewDecodePool(decodeThreads, 256)
-		var mu sync.Mutex
+	for t := time.Duration(0); t < duration; t += step {
 		for _, c := range cells {
 			id := c.id
-			if err := pool.AddCell(id, c.tb.Scope, func(res *nrscope.SlotResult) {
-				mu.Lock()
+			c.tb.RunFor(step, func(res *nrscope.SlotResult) {
 				for _, rec := range res.Records {
 					_ = agg.Ingest(id, rec)
 				}
@@ -570,37 +516,7 @@ func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int6
 					store.IngestSpare(id, res.SlotIdx, res.Spare)
 				}
 				records += len(res.Records)
-				mu.Unlock()
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := pool.Start(); err != nil {
-			log.Fatal(err)
-		}
-		for t := time.Duration(0); t < duration; t += step {
-			for _, c := range cells {
-				perStep := int(step / c.tb.TTI())
-				for i := 0; i < perStep; i++ {
-					pool.Submit(c.id, c.tb.StepRaw())
-				}
-			}
-		}
-		pool.Close()
-	} else {
-		for t := time.Duration(0); t < duration; t += step {
-			for _, c := range cells {
-				id := c.id
-				c.tb.RunFor(step, func(res *nrscope.SlotResult) {
-					for _, rec := range res.Records {
-						_ = agg.Ingest(id, rec)
-					}
-					if store != nil && res.Spare != nil {
-						store.IngestSpare(id, res.SlotIdx, res.Spare)
-					}
-					records += len(res.Records)
-				})
-			}
+			})
 		}
 	}
 

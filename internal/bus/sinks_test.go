@@ -91,9 +91,8 @@ func readJSONL(t *testing.T, path string) []telemetry.Record {
 	return recs
 }
 
-// TestTCPServerWireCompatible: the bus TCP sink speaks the same JSONL
-// protocol as the pre-bus telemetry.Server, so telemetry.Dial clients
-// keep working unchanged.
+// TestTCPServerWireCompatible: the bus TCP sink speaks the JSONL
+// protocol telemetry.Dial clients decode.
 func TestTCPServerWireCompatible(t *testing.T) {
 	b := New()
 	defer b.Close()

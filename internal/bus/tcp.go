@@ -10,9 +10,8 @@ import (
 	"nrscope/internal/telemetry"
 )
 
-// TCPServer serves the bus over TCP as JSON lines — the bus-managed
-// form of telemetry.Server (§6 feedback path), wire-compatible with
-// telemetry.Dial. Each accepted connection becomes its own DropOldest
+// TCPServer serves the bus over TCP as JSON lines (§6 feedback path),
+// the stream telemetry.Dial reads. Each accepted connection becomes its own DropOldest
 // subscription, so a slow subscriber fills (then recycles) its own ring
 // queue instead of stalling Publish or its sibling connections; a
 // connection whose write fails or times out is dropped fail-fast.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nrscope/internal/channel"
+	"nrscope/internal/obs"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
 	"nrscope/internal/rrc"
@@ -428,56 +429,6 @@ func TestDCIThreadsEquivalence(t *testing.T) {
 	}
 }
 
-func TestPipelineMatchesSynchronous(t *testing.T) {
-	runSync := func() int {
-		cfg := amari()
-		tb := newTestbed(t, cfg, 25)
-		tb.gnb.AddUE(bulk(cfg), -1)
-		total := 0
-		for i := 0; i < 1000; i++ {
-			_, res := tb.step()
-			total += len(res.Records)
-		}
-		return total
-	}
-	runPipe := func(workers int) int {
-		cfg := amari()
-		gnb, err := ran.NewGNB(cfg, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gnb.AddUE(bulk(cfg), -1)
-		rx := radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xACE)
-		scope := New(cfg.CellID)
-		p := NewPipeline(scope, workers, 64)
-		done := make(chan int)
-		go func() {
-			total := 0
-			for res := range p.Results() {
-				total += len(res.Records)
-			}
-			done <- total
-		}()
-		for i := 0; i < 1000; i++ {
-			out := gnb.Step()
-			p.Submit(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
-		}
-		p.Close()
-		return <-done
-	}
-	sync := runSync()
-	pipe := runPipe(3)
-	if sync == 0 {
-		t.Fatal("no records in synchronous run")
-	}
-	// The pipeline decodes some slots against slightly stale snapshots
-	// (UE discovered at slot t is searchable only after its merge), so
-	// allow a small deficit but nothing dramatic.
-	if pipe < sync*90/100 || pipe > sync {
-		t.Errorf("pipeline records %d vs sync %d", pipe, sync)
-	}
-}
-
 func TestMSG4ShortcutTradeoff(t *testing.T) {
 	// The paper's §3.1.2 shortcut skips the RRC Setup PDSCH decode once
 	// one Setup is known. Without a gate, CRC aliasing on a noisy channel
@@ -654,5 +605,56 @@ func TestProcessingTimeGrowsWithUEs(t *testing.T) {
 	large := elapsed(16)
 	if large <= small {
 		t.Errorf("processing time with 16 UEs (%v) not above 2 UEs (%v)", large, small)
+	}
+}
+
+func TestObsSnapshotDeltasAcrossRun(t *testing.T) {
+	// The acceptance test for the instrumentation itself: counter deltas
+	// across a simulated multi-slot run must account for the work done.
+	cfg := amari()
+	tb := newTestbed(t, cfg, 25)
+	tb.gnb.AddUE(bulk(cfg), -1)
+
+	before := obs.Snapshot()
+	const slots = 800
+	for i := 0; i < slots; i++ {
+		tb.step()
+	}
+	d := obs.Delta(before, obs.Snapshot())
+
+	if got := d["nrscope_scope_slots_processed_total"]; got != slots {
+		t.Errorf("slots_processed delta = %g, want %d", got, slots)
+	}
+	if got := d["nrscope_scope_decode_latency_seconds_count"]; got != slots {
+		t.Errorf("decode latency histogram count delta = %g, want %d", got, slots)
+	}
+	if d["nrscope_scope_decode_latency_seconds_sum"] <= 0 {
+		t.Error("decode latency histogram sum did not grow")
+	}
+	if got := d["nrscope_scope_mib_acquired_total"]; got != 1 {
+		t.Errorf("mib_acquired delta = %g, want 1", got)
+	}
+	if got := d["nrscope_scope_sib1_acquired_total"]; got != 1 {
+		t.Errorf("sib1_acquired delta = %g, want 1", got)
+	}
+	if got := d["nrscope_scope_msg4_hits_total"]; got < 1 {
+		t.Errorf("msg4_hits delta = %g, want >= 1", got)
+	}
+	if got := d["nrscope_scope_crnti_recoveries_total"]; got < 1 {
+		t.Errorf("crnti_recoveries delta = %g, want >= 1", got)
+	}
+	attempted := d["nrscope_scope_blind_candidates_attempted_total"]
+	matched := d["nrscope_scope_blind_candidates_matched_total"]
+	if attempted <= 0 {
+		t.Error("no blind-decode candidates attempted")
+	}
+	if matched <= 0 || matched > attempted {
+		t.Errorf("candidates matched delta = %g (attempted %g)", matched, attempted)
+	}
+	if d["nrscope_scope_blind_positions_decoded_total"] <= 0 {
+		t.Error("position cache never decoded a candidate position")
+	}
+	if tracked := obs.Snapshot()["nrscope_scope_ues_tracked"]; tracked < 1 {
+		t.Errorf("ues_tracked gauge = %g, want >= 1", tracked)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -15,26 +14,6 @@ import (
 	"nrscope/internal/rrc"
 )
 
-// snapshot is the read-only state a decode pass runs against (the
-// paper's "state copy" handed from the scheduler to a worker).
-type snapshot struct {
-	mib        *rrc.MIB
-	sib1       *rrc.SIB1
-	setup      *rrc.Setup
-	coreset    phy.CORESET
-	ueCoreset  phy.CORESET
-	commonSS   phy.SearchSpace
-	ueSS       phy.SearchSpace
-	commonCfg  dci.Config
-	dataCfg    dci.Config
-	link       dci.LinkConfig
-	rntis      []uint16
-	tcRNTIs    []uint16 // TC-RNTIs decoded RARs announced, still in their window
-	threads    int
-	verifyMSG4 bool
-	dmrsGate   bool
-}
-
 // foundDCI is one successfully decoded and translated DCI.
 type foundDCI struct {
 	rnti  uint16
@@ -44,13 +23,10 @@ type foundDCI struct {
 }
 
 // newUE is a MSG4 discovery: the RNTI recovered from the CRC XOR.
-// An unannounced one was gated out against the decode snapshot and waits
-// for merge to re-check it (see recheckUnannounced).
 type newUE struct {
-	rnti        uint16
-	grant       dci.Grant
-	cand        phy.Candidate
-	unannounced bool
+	rnti  uint16
+	grant dci.Grant
+	cand  phy.Candidate
 }
 
 // decodeResult is everything a decode pass found in one slot.
@@ -67,18 +43,14 @@ type decodeResult struct {
 	data    []foundDCI
 	tcRNTIs []uint16 // TC-RNTIs announced by RARs decoded in this slot
 
-	// capture is kept only while an unannounced MSG4 candidate may still
-	// need its PDSCH verify at merge.
-	capture *radio.Capture
-
 	elapsed time.Duration
 }
 
 // slotScratch is the reusable working memory of one decodeSlot pass:
 // occupancy/claim masks for both CORESETs, the common-search-space
-// candidate list, and the position arena. Pooled on the Scope so
-// concurrent pipeline workers never share one, and steady-state slots
-// allocate nothing for any of it.
+// candidate list, and the position arena. Each Scope owns one: only one
+// goroutine drives a Scope at a time, and steady-state slots allocate
+// nothing for any of it.
 type slotScratch struct {
 	occupied   []bool
 	claimed    []bool
@@ -91,13 +63,6 @@ type slotScratch struct {
 	seen       rntiSet         // RNTIs the arena's positions recovered
 	ueCands    []phy.Candidate // one UE's hashed candidates
 	mine       []phy.Candidate // that UE's hits so far
-}
-
-func (s *Scope) getSlotScratch() *slotScratch {
-	if sc, _ := s.slotPool.Get().(*slotScratch); sc != nil {
-		return sc
-	}
-	return &slotScratch{}
 }
 
 // boolMask resizes buf to n entries, filled with fill.
@@ -117,10 +82,11 @@ func boolMask(buf []bool, n int, fill bool) []bool {
 // slot; the window absorbs scheduling jitter).
 const raRNTILookback = 5
 
-// decodeSlot is the pure (state-immutable) per-slot processing: the
+// decodeSlot is the read-only half of the per-slot processing: the
 // "SIBs thread", "RACH thread" and "DCI threads" of the paper's Fig. 4
-// all run here against the snapshot.
-func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
+// all run here against the scope's current state, which only merge
+// changes.
+func (s *Scope) decodeSlot(cap *radio.Capture) *decodeResult {
 	start := time.Now()
 	res := &decodeResult{slotIdx: cap.SlotIdx, ref: cap.Ref}
 	met.slots.Inc()
@@ -134,7 +100,7 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 	res.hadGrid = true
 
 	// Cell search: until the MIB is in hand nothing else can run.
-	if snap.mib == nil {
+	if s.mib == nil {
 		if data, ok := pdsch.DecodePBCH(cap.Grid, s.cellID, cap.N0); ok {
 			if mib, err := rrc.DecodeMIB(data); err == nil && !mib.CellBarred {
 				res.mib = &mib
@@ -143,46 +109,45 @@ func (s *Scope) decodeSlot(snap *snapshot, cap *radio.Capture) *decodeResult {
 		return res
 	}
 
-	sc := s.getSlotScratch()
-	defer s.slotPool.Put(sc)
+	sc := s.scratch
 
 	// One DMRS-correlation sweep over the CORESET feeds both passes —
 	// this plus the demapping is the "signal processing" term of the
 	// paper's O(n log n + m) cost model. With the gate ablated, every
 	// CCE is treated as potentially occupied.
-	if snap.dmrsGate {
-		sc.occupied = s.codec.OccupiedCCEsInto(sc.occupied, cap.Grid, snap.coreset, cap.Ref.Slot)
+	if s.dmrsGate {
+		sc.occupied = s.codec.OccupiedCCEsInto(sc.occupied, cap.Grid, s.coreset, cap.Ref.Slot)
 	} else {
-		sc.occupied = boolMask(sc.occupied, snap.coreset.NumCCE(), true)
+		sc.occupied = boolMask(sc.occupied, s.coreset.NumCCE(), true)
 	}
 	sc.claimed = boolMask(sc.claimed, len(sc.occupied), false)
 
 	// CSS pass: SIB decoding and RACH/new-UE tracking.
-	s.decodeCommon(snap, cap, res, sc)
+	s.decodeCommon(cap, res, sc)
 
 	// USS pass: DCI extraction for every known UE, its position decodes
 	// striped over the DCI threads (§4). It needs both
 	// SIB1 (the active-BWP DCI sizes) and an RRC Setup (the UE search
 	// space) — the paper's step 1 before step 2.
-	if snap.sib1 != nil && snap.setup != nil && len(snap.rntis) > 0 {
-		s.decodeUESpace(snap, cap, res, sc)
+	if s.sib1 != nil && s.setup != nil && len(s.rntis) > 0 {
+		s.decodeUESpace(cap, res, sc)
 	}
 	return res
 }
 
 // decodeCommon scans the common search space, filling sc.claimed with
 // the CCE-claim mask so the USS pass skips already-explained CCEs.
-func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
+func (s *Scope) decodeCommon(cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	occupied, claimed := sc.occupied, sc.claimed
-	fallbackSize := dci.ClassSize(dci.Fallback, snap.commonCfg)
+	fallbackSize := dci.ClassSize(dci.Fallback, s.commonCfg)
 
-	sc.cssCands = phy.AppendSlotCandidates(sc.cssCands[:0], snap.commonSS, snap.coreset, 0, cap.Ref.Slot)
+	sc.cssCands = phy.AppendSlotCandidates(sc.cssCands[:0], s.commonSS, s.coreset, 0, cap.Ref.Slot)
 	for _, cand := range sc.cssCands {
 		if !spanTrue(occupied, cand.StartCCE, cand.AggLevel) || anyTrue(claimed, cand.StartCCE, cand.AggLevel) {
 			continue
 		}
 		met.candAttempted.Inc()
-		block, err := s.codec.DecodeCandidateInto(sc.cssBlock, cap.Grid, snap.coreset, cand, cap.Ref.Slot, fallbackSize, cap.N0)
+		block, err := s.codec.DecodeCandidateInto(sc.cssBlock, cap.Grid, s.coreset, cand, cap.Ref.Slot, fallbackSize, cap.N0)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -194,12 +159,12 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			continue
 		}
 		met.crntiRecovers.Inc()
-		d, err := dci.Unpack(payload, dci.Fallback, snap.commonCfg)
+		d, err := dci.Unpack(payload, dci.Fallback, s.commonCfg)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrant(d, rnti, snap.commonCfg, controlLink())
+		grant, err := dci.ToGrant(d, rnti, s.commonCfg, controlLink())
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue
@@ -211,7 +176,7 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 		switch {
 		case rnti == dci.SIRNTI:
 			met.candMatched.Inc()
-			if snap.sib1 == nil && res.sib1 == nil {
+			if s.sib1 == nil && res.sib1 == nil {
 				met.pdschDecodes.Inc()
 				data, ok := pdsch.DecodeInto(sc.pdschBuf, cap.Grid, grant, s.cellID, cap.N0)
 				sc.pdschBuf = data
@@ -242,22 +207,19 @@ func (s *Scope) decodeCommon(snap *snapshot, cap *radio.Capture, res *decodeResu
 			// Candidate MSG 4: the recovered RNTI is a would-be C-RNTI
 			// (paper §3.1.2). A recovery no decoded RAR announced is
 			// almost always a chance pass of the 8 clear CRC bits (1 in
-			// 256 per decode): it gets no PDSCH decode here. It is handed
-			// to merge instead, because a pipeline worker's snapshot can
-			// predate the merge of the RAR that did announce it.
-			// Otherwise verify via the RRC Setup PDSCH CRC unless the
-			// shortcut is on and the Setup is already known.
-			if !slices.Contains(snap.tcRNTIs, rnti) {
-				res.newUEs = append(res.newUEs, newUE{rnti: rnti, grant: grant, cand: cand, unannounced: true})
-				res.capture = cap
+			// 256 per decode): it is counted and dropped before any PDSCH
+			// decode. Otherwise verify via the RRC Setup PDSCH CRC unless
+			// the shortcut is on and the Setup is already known.
+			if !s.outstanding(rnti) {
+				met.msg4Unannounced.Inc()
 				continue
 			}
-			if snap.setup == nil || snap.verifyMSG4 {
+			if s.setup == nil || s.verifyMSG4 {
 				setup, ok := s.decodeSetup(sc, cap, grant)
 				if !ok {
 					continue
 				}
-				if snap.setup == nil && res.setup == nil {
+				if s.setup == nil && res.setup == nil {
 					res.setup = &setup
 				}
 			}
@@ -282,47 +244,6 @@ func (s *Scope) decodeSetup(sc *slotScratch, cap *radio.Capture, grant dci.Grant
 	return setup, err == nil
 }
 
-// recheckUnannounced settles, in slot order, the MSG4 candidates the
-// decode pass gated out. A pipeline worker may decode slot n before the
-// RAR of an earlier slot has merged, so its snapshot lacks that RAR's
-// TC-RNTI. Merge runs in slot order, so s.announced now holds exactly
-// what an up-to-date snapshot would have held: a candidate outstanding
-// there gets the MSG4 check it would have had at decode time; the rest
-// are counted and dropped. On the synchronous path the snapshot is never
-// stale and every candidate is dropped without a PDSCH decode. It must
-// run before merge announces the slot's own RARs.
-func (s *Scope) recheckUnannounced(res *decodeResult) {
-	var sc *slotScratch
-	kept := res.newUEs[:0]
-	for _, nu := range res.newUEs {
-		if nu.unannounced {
-			if !s.outstanding(nu.rnti) {
-				met.msg4Unannounced.Inc()
-				continue
-			}
-			if s.setup == nil || s.verifyMSG4 {
-				if sc == nil {
-					sc = s.getSlotScratch()
-					defer s.slotPool.Put(sc)
-				}
-				setup, ok := s.decodeSetup(sc, res.capture, nu.grant)
-				if !ok {
-					continue
-				}
-				if s.setup == nil && res.setup == nil {
-					res.setup = &setup
-				}
-			}
-			nu.unannounced = false
-			met.candMatched.Inc()
-			met.msg4Hits.Inc()
-		}
-		kept = append(kept, nu)
-	}
-	res.newUEs = kept
-	res.capture = nil
-}
-
 // decodeUESpace blind-decodes every known UE's search-space candidates.
 //
 // The heavy half of a candidate decode — demapping, descrambling and the
@@ -335,10 +256,10 @@ func (s *Scope) recheckUnannounced(res *decodeResult) {
 // RNTI the position can belong to. The per-UE sweep then indexes by that
 // RNTI: a UE no decoded position recovered is skipped with one bitmap
 // test, and only UEs with a hit hash their candidates.
-func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeResult, sc *slotScratch) {
+func (s *Scope) decodeUESpace(cap *radio.Capture, res *decodeResult, sc *slotScratch) {
 	sizeClass := dci.Fallback
-	cfg := snap.dataCfg
-	if snap.setup.NonFallback {
+	cfg := s.dataCfg
+	if s.setup.NonFallback {
 		sizeClass = dci.NonFallback
 	}
 	payloadBits := dci.ClassSize(sizeClass, cfg)
@@ -349,18 +270,18 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 	// the CSS claim mask (which addresses CORESET-0 CCEs) does not carry
 	// over.
 	ueOccupied, ueClaimed := sc.occupied, sc.claimed
-	if !snap.ueCoreset.SameRegion(snap.coreset) {
-		if snap.dmrsGate {
-			sc.ueOccupied = s.codec.OccupiedCCEsInto(sc.ueOccupied, cap.Grid, snap.ueCoreset, cap.Ref.Slot)
+	if !s.ueCoreset.SameRegion(s.coreset) {
+		if s.dmrsGate {
+			sc.ueOccupied = s.codec.OccupiedCCEsInto(sc.ueOccupied, cap.Grid, s.ueCoreset, cap.Ref.Slot)
 		} else {
-			sc.ueOccupied = boolMask(sc.ueOccupied, snap.ueCoreset.NumCCE(), true)
+			sc.ueOccupied = boolMask(sc.ueOccupied, s.ueCoreset.NumCCE(), true)
 		}
 		sc.ueClaimed = boolMask(sc.ueClaimed, len(sc.ueOccupied), false)
 		ueOccupied, ueClaimed = sc.ueOccupied, sc.ueClaimed
 	}
 
 	ar := &sc.arena
-	s.decodePositions(snap, cap, payloadBits, ueOccupied, ueClaimed, ar)
+	s.decodePositions(cap, payloadBits, ueOccupied, ueClaimed, ar)
 
 	seen := &sc.seen
 	for _, idx := range ar.work {
@@ -368,9 +289,9 @@ func (s *Scope) decodeUESpace(snap *snapshot, cap *radio.Capture, res *decodeRes
 			seen.set(ar.rnti[idx])
 		}
 	}
-	for _, rnti := range snap.rntis {
+	for _, rnti := range s.rntis {
 		if seen.has(rnti) {
-			res.data = s.decodeOneUE(snap, cap, rnti, sizeClass, cfg, ar, sc, res.data)
+			res.data = s.decodeOneUE(cap, rnti, sizeClass, cfg, ar, sc, res.data)
 		}
 	}
 	for _, idx := range ar.work {
@@ -488,9 +409,9 @@ func (a *posArena) block(idx int) []uint8 {
 // sharding the position list across the DCI threads. Positions whose
 // aggregation level cannot carry the payload at all are counted as empty
 // (nothing can be transmitted there), not as decode failures.
-func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits int, occupied, claimed []bool, ar *posArena) {
-	nCCE := snap.ueCoreset.NumCCE()
-	ar.reset(snap.ueSS, nCCE, payloadBits+24)
+func (s *Scope) decodePositions(cap *radio.Capture, payloadBits int, occupied, claimed []bool, ar *posArena) {
+	nCCE := s.ueCoreset.NumCCE()
+	ar.reset(s.ueSS, nCCE, payloadBits+24)
 	for i, al := range phy.AggregationLevels {
 		if ar.counts[i] == 0 {
 			continue
@@ -508,13 +429,13 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 		}
 	}
 
-	workers := snap.threads
+	workers := s.dciThreads
 	if workers > len(ar.work) {
 		workers = len(ar.work)
 	}
 	if workers <= 1 {
 		for _, idx := range ar.work {
-			s.decodePosition(snap, cap, payloadBits, ar, int(idx))
+			s.decodePosition(cap, payloadBits, ar, int(idx))
 		}
 		return
 	}
@@ -524,7 +445,7 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ar.work); i += workers {
-				s.decodePosition(snap, cap, payloadBits, ar, int(ar.work[i]))
+				s.decodePosition(cap, payloadBits, ar, int(ar.work[i]))
 			}
 		}(w)
 	}
@@ -535,11 +456,11 @@ func (s *Scope) decodePositions(snap *snapshot, cap *radio.Capture, payloadBits 
 // recovers the RNTI its CRC is scrambled with — the one CRC check the
 // position gets. Entries are disjoint, so parallel workers need no
 // locking; the codec's own scratch is pooled per call.
-func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits int, ar *posArena, idx int) {
+func (s *Scope) decodePosition(cap *radio.Capture, payloadBits int, ar *posArena, idx int) {
 	al, cce := ar.posAt(idx)
 	cand := phy.Candidate{AggLevel: al, StartCCE: cce}
 	met.positions.Inc()
-	block, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, snap.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0)
+	block, err := s.codec.DecodeCandidateInto(ar.writeBlock(idx), cap.Grid, s.ueCoreset, cand, cap.Ref.Slot, payloadBits, cap.N0)
 	if err != nil {
 		met.decodeFailed.Inc()
 		return
@@ -558,8 +479,8 @@ func (s *Scope) decodePosition(snap *snapshot, cap *radio.Capture, payloadBits i
 // downlink assignment plus an uplink grant), so every matching candidate
 // is kept; candidates whose CCEs were already explained by a previous
 // hit of this UE are skipped.
-func (s *Scope) decodeOneUE(snap *snapshot, cap *radio.Capture, rnti uint16, sizeClass dci.SizeClass, cfg dci.Config, ar *posArena, sc *slotScratch, out []foundDCI) []foundDCI {
-	sc.ueCands = phy.AppendSlotCandidates(sc.ueCands[:0], snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot)
+func (s *Scope) decodeOneUE(cap *radio.Capture, rnti uint16, sizeClass dci.SizeClass, cfg dci.Config, ar *posArena, sc *slotScratch, out []foundDCI) []foundDCI {
+	sc.ueCands = phy.AppendSlotCandidates(sc.ueCands[:0], s.ueSS, s.ueCoreset, rnti, cap.Ref.Slot)
 	sc.mine = sc.mine[:0] // candidates already decoded for this UE
 	for _, cand := range sc.ueCands {
 		idx := ar.entry(cand.AggLevel, cand.StartCCE)
@@ -575,7 +496,7 @@ func (s *Scope) decodeOneUE(snap *snapshot, cap *radio.Capture, rnti uint16, siz
 			met.decodeFailed.Inc()
 			continue
 		}
-		grant, err := dci.ToGrant(d, rnti, cfg, snap.link)
+		grant, err := dci.ToGrant(d, rnti, cfg, s.link)
 		if err != nil {
 			met.decodeFailed.Inc()
 			continue

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"nrscope/internal/channel"
 	"nrscope/internal/dci"
 	"nrscope/internal/harq"
 	"nrscope/internal/pdcch"
@@ -102,13 +101,10 @@ func TestUECoresetDistinctRegionDecodes(t *testing.T) {
 // aggregation level cannot carry the payload at all are no-transmission
 // positions, not decode failures.
 func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
-	s := New(500)
+	s := New(500, WithDCIThreads(2))
 	cs := phy.CORESET{ID: 1, StartPRB: 0, NumPRB: 48, Duration: 1, StartSym: 0}
-	snap := &snapshot{
-		ueCoreset: cs,
-		ueSS:      phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()},
-		threads:   2,
-	}
+	s.ueCoreset = cs
+	s.ueSS = phy.SearchSpace{ID: 1, Type: phy.UESearchSpace, Candidates: phy.DefaultUECandidates()}
 	capt := &radio.Capture{Ref: phy.SlotRef{}, Grid: phy.NewGrid(51), N0: 1e-2}
 	occupied := boolMask(nil, cs.NumCCE(), true)
 	claimed := boolMask(nil, cs.NumCCE(), false)
@@ -122,7 +118,7 @@ func TestInfeasiblePositionsCountEmptyNotFailed(t *testing.T) {
 	decodedBefore := met.positions.Value()
 
 	var ar posArena
-	s.decodePositions(snap, capt, 100, occupied, claimed, &ar)
+	s.decodePositions(capt, 100, occupied, claimed, &ar)
 
 	// 8 CCEs: 8 AL1 positions are infeasible; 4 AL2 + 2 AL4 + 1 AL8
 	// decode (a silent grid still polar-decodes, to garbage).
@@ -193,49 +189,6 @@ func TestPosArenaIndexing(t *testing.T) {
 	}
 }
 
-// TestDecodeSlotConcurrencyAcrossAcquisition drives the full pipeline —
-// concurrent workers, each running the position-parallel USS pass with
-// multiple DCI threads — through the MIB/SIB1/Setup transitions. Kept
-// -short-friendly so the race CI exercises it.
-func TestDecodeSlotConcurrencyAcrossAcquisition(t *testing.T) {
-	cfg := amari()
-	gnb, err := ran.NewGNB(cfg, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		gnb.AddUE(bulk(cfg), -1)
-	}
-	rx := radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xACE)
-	scope := New(cfg.CellID, WithDCIThreads(4))
-	p := NewPipeline(scope, 3, 32)
-	done := make(chan [2]int)
-	go func() {
-		ues, records := 0, 0
-		for res := range p.Results() {
-			ues += len(res.NewUEs)
-			for _, rec := range res.Records {
-				if !rec.Common {
-					records++
-				}
-			}
-		}
-		done <- [2]int{ues, records}
-	}()
-	for i := 0; i < 700; i++ {
-		out := gnb.Step()
-		p.Submit(rx.Capture(out.SlotIdx, out.Ref, out.Grid))
-	}
-	p.Close()
-	got := <-done
-	if got[0] == 0 {
-		t.Error("no UEs discovered across acquisition under concurrency")
-	}
-	if got[1] == 0 {
-		t.Error("no data DCIs decoded under concurrency")
-	}
-}
-
 // BenchmarkDecodePositions measures the RNTI-independent half of the
 // blind decode alone: one polar decode per occupied AL-aligned position
 // of the UE search space (all positions forced occupied here).
@@ -255,18 +208,18 @@ func BenchmarkDecodePositions(b *testing.B) {
 	if capt == nil || !tb.scope.SetupKnown() {
 		b.Fatal("testbed never reached steady state")
 	}
-	snap := tb.scope.snapshot()
+	s := tb.scope
 	sizeClass := dci.Fallback
-	if snap.setup.NonFallback {
+	if s.setup.NonFallback {
 		sizeClass = dci.NonFallback
 	}
-	payloadBits := dci.ClassSize(sizeClass, snap.dataCfg)
-	occupied := boolMask(nil, snap.ueCoreset.NumCCE(), true)
-	claimed := boolMask(nil, snap.ueCoreset.NumCCE(), false)
+	payloadBits := dci.ClassSize(sizeClass, s.dataCfg)
+	occupied := boolMask(nil, s.ueCoreset.NumCCE(), true)
+	claimed := boolMask(nil, s.ueCoreset.NumCCE(), false)
 	var ar posArena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.scope.decodePositions(snap, capt, payloadBits, occupied, claimed, &ar)
+		s.decodePositions(capt, payloadBits, occupied, claimed, &ar)
 	}
 }

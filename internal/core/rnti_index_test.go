@@ -2,15 +2,12 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"nrscope/internal/bits"
-	"nrscope/internal/channel"
 	"nrscope/internal/dci"
 	"nrscope/internal/phy"
 	"nrscope/internal/radio"
-	"nrscope/internal/ran"
 )
 
 // exhaustiveUESpace is the reference USS sweep the RNTI index replaced:
@@ -19,35 +16,35 @@ import (
 // mask) and the same position pass on private scratch, so any drift in
 // the index — a skipped UE, a reordered hit, a lost overlap check —
 // shows up as a difference in the found DCIs.
-func exhaustiveUESpace(s *Scope, snap *snapshot, cap *radio.Capture) []foundDCI {
-	if cap.Grid == nil || snap.mib == nil || snap.sib1 == nil || snap.setup == nil || len(snap.rntis) == 0 {
+func exhaustiveUESpace(s *Scope, cap *radio.Capture) []foundDCI {
+	if cap.Grid == nil || s.mib == nil || s.sib1 == nil || s.setup == nil || len(s.rntis) == 0 {
 		return nil
 	}
 	sc := &slotScratch{}
-	if snap.dmrsGate {
-		sc.occupied = s.codec.OccupiedCCEsInto(nil, cap.Grid, snap.coreset, cap.Ref.Slot)
+	if s.dmrsGate {
+		sc.occupied = s.codec.OccupiedCCEsInto(nil, cap.Grid, s.coreset, cap.Ref.Slot)
 	} else {
-		sc.occupied = boolMask(nil, snap.coreset.NumCCE(), true)
+		sc.occupied = boolMask(nil, s.coreset.NumCCE(), true)
 	}
 	sc.claimed = boolMask(nil, len(sc.occupied), false)
-	s.decodeCommon(snap, cap, &decodeResult{}, sc)
+	s.decodeCommon(cap, &decodeResult{}, sc)
 	occupied, claimed := sc.occupied, sc.claimed
-	if !snap.ueCoreset.SameRegion(snap.coreset) {
-		occupied = s.codec.OccupiedCCEsInto(nil, cap.Grid, snap.ueCoreset, cap.Ref.Slot)
+	if !s.ueCoreset.SameRegion(s.coreset) {
+		occupied = s.codec.OccupiedCCEsInto(nil, cap.Grid, s.ueCoreset, cap.Ref.Slot)
 		claimed = boolMask(nil, len(occupied), false)
 	}
 	sizeClass := dci.Fallback
-	if snap.setup.NonFallback {
+	if s.setup.NonFallback {
 		sizeClass = dci.NonFallback
 	}
-	cfg := snap.dataCfg
+	cfg := s.dataCfg
 	var ar posArena
-	s.decodePositions(snap, cap, dci.ClassSize(sizeClass, cfg), occupied, claimed, &ar)
+	s.decodePositions(cap, dci.ClassSize(sizeClass, cfg), occupied, claimed, &ar)
 
 	var out []foundDCI
-	for _, rnti := range snap.rntis {
+	for _, rnti := range s.rntis {
 		var mine []phy.Candidate
-		for _, cand := range phy.AppendSlotCandidates(nil, snap.ueSS, snap.ueCoreset, rnti, cap.Ref.Slot) {
+		for _, cand := range phy.AppendSlotCandidates(nil, s.ueSS, s.ueCoreset, rnti, cap.Ref.Slot) {
 			block, ok := ar.lookup(cand.AggLevel, cand.StartCCE)
 			if !ok || overlapsAny(mine, cand) || !bits.MatchDCICRC(block, rnti) {
 				continue
@@ -56,7 +53,7 @@ func exhaustiveUESpace(s *Scope, snap *snapshot, cap *radio.Capture) []foundDCI 
 			if err != nil {
 				continue
 			}
-			grant, err := dci.ToGrant(d, rnti, cfg, snap.link)
+			grant, err := dci.ToGrant(d, rnti, cfg, s.link)
 			if err != nil {
 				continue
 			}
@@ -114,9 +111,8 @@ func TestRNTIIndexMatchesExhaustiveSweep(t *testing.T) {
 			for i := 0; i < slots; i++ {
 				out := tb.gnb.Step()
 				capt := tb.rx.Capture(out.SlotIdx, out.Ref, out.Grid)
-				snap := tb.scope.snapshot()
-				res := tb.scope.decodeSlot(snap, capt)
-				if want := exhaustiveUESpace(tb.scope, snap, capt); len(want) > 0 || len(res.data) > 0 {
+				res := tb.scope.decodeSlot(capt)
+				if want := exhaustiveUESpace(tb.scope, capt); len(want) > 0 || len(res.data) > 0 {
 					if !reflect.DeepEqual(res.data, want) {
 						t.Fatalf("slot %d: indexed sweep found %d DCIs (RNTIs %v), exhaustive %d (RNTIs %v)",
 							out.SlotIdx, len(res.data), foundRNTIs(res.data), len(want), foundRNTIs(want))
@@ -199,13 +195,13 @@ func TestAnnouncedTCRNTIExpires(t *testing.T) {
 	s.merge(&decodeResult{slotIdx: rar, tcRNTIs: []uint16{0x4601, 0x4602}})
 	expired := met.tcExpired.Value()
 	for slot := rar + 1; slot <= rar+window; slot++ {
-		if snap := s.snapshot(); !reflect.DeepEqual(snap.tcRNTIs, []uint16{0x4601, 0x4602}) {
-			t.Fatalf("slot %d: outstanding %v, want both", slot, snap.tcRNTIs)
+		if got := announcedRNTIs(s); !reflect.DeepEqual(got, []uint16{0x4601, 0x4602}) {
+			t.Fatalf("slot %d: outstanding %v, want both", slot, got)
 		}
 		s.merge(&decodeResult{slotIdx: slot})
 	}
-	if snap := s.snapshot(); len(snap.tcRNTIs) != 0 {
-		t.Fatalf("after the window: outstanding %v, want none", snap.tcRNTIs)
+	if got := announcedRNTIs(s); len(got) != 0 {
+		t.Fatalf("after the window: outstanding %v, want none", got)
 	}
 	if got := met.tcExpired.Value() - expired; got != 2 {
 		t.Errorf("tcrnti_expired delta %d, want 2", got)
@@ -213,76 +209,19 @@ func TestAnnouncedTCRNTIExpires(t *testing.T) {
 
 	s.merge(&decodeResult{slotIdx: 500, tcRNTIs: []uint16{0x4603, 0x4604}})
 	s.merge(&decodeResult{slotIdx: 507, newUEs: []newUE{{rnti: 0x4603}}})
-	if snap := s.snapshot(); !reflect.DeepEqual(snap.tcRNTIs, []uint16{0x4604}) {
-		t.Errorf("after admission: outstanding %v, want [0x4604]", snap.tcRNTIs)
+	if got := announcedRNTIs(s); !reflect.DeepEqual(got, []uint16{0x4604}) {
+		t.Errorf("after admission: outstanding %v, want [0x4604]", got)
 	}
 	if s.Track(0x4603) == nil {
 		t.Error("MSG4 admission did not track the UE")
 	}
 }
 
-// TestPipelineBacklogDiscoversSameUEs: with a deep backlog, pipeline
-// workers decode a MSG4 slot (6 slots after its RAR) before the RAR slot
-// has merged, so the MSG4's TC-RNTI is missing from their snapshot. The
-// merge-time re-check must still admit it: the pipeline discovers exactly
-// the UEs the synchronous scope discovers.
-func TestPipelineBacklogDiscoversSameUEs(t *testing.T) {
-	cfg := amari()
-	gnb, err := ran.NewGNB(cfg, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+// announcedRNTIs lists the outstanding TC-RNTIs in announcement order.
+func announcedRNTIs(s *Scope) []uint16 {
+	var out []uint16
+	for _, tc := range s.announced {
+		out = append(out, tc.rnti)
 	}
-	rx := radio.NewReceiver(channel.Normal, 25, cfg.Seed^0xACE)
-	const slots = 300
-	caps := make([]*radio.Capture, 0, slots)
-	for i := 0; i < slots; i++ {
-		if i%30 == 0 {
-			for j := 0; j < 2; j++ {
-				gnb.AddUE(bulk(cfg), -1)
-			}
-		}
-		out := gnb.Step()
-		caps = append(caps, rx.Capture(out.SlotIdx, out.Ref, out.Grid))
-	}
-
-	want := make(map[uint16]bool)
-	syncScope := manualScope(cfg)
-	for _, c := range caps {
-		for _, r := range syncScope.ProcessSlot(c).NewUEs {
-			want[r] = true
-		}
-	}
-	if len(want) < 8 {
-		t.Fatalf("synchronous scope discovered only %d UEs", len(want))
-	}
-
-	for _, workers := range []int{4, 8} {
-		// Queue depth covers every slot: all captures are submitted
-		// before any result is drained, so the workers run far ahead
-		// of the merges.
-		p := NewPipeline(manualScope(cfg), workers, slots)
-		for _, c := range caps {
-			p.Submit(c)
-		}
-		p.Close()
-		got := make(map[uint16]bool)
-		for res := range p.Results() {
-			for _, r := range res.NewUEs {
-				got[r] = true
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d workers: pipeline discovered %d UEs %v, synchronous %d %v",
-				workers, len(got), keys(got), len(want), keys(want))
-		}
-	}
-}
-
-func keys(m map[uint16]bool) []uint16 {
-	out := make([]uint16, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
 	return out
 }

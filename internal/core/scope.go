@@ -6,15 +6,16 @@
 // known UE in every TTI, translating DCIs into grants, transport block
 // sizes, throughput, HARQ retransmissions and spare-capacity telemetry.
 //
-// The processing pipeline mirrors the paper's Fig. 4: a synchronous
-// ProcessSlot for exact in-order evaluation, and a Pipeline (see
-// pipeline.go) with a scheduler, a worker pool, and per-worker SIB/RACH/
-// DCI tasks for asynchronous, multi-core operation.
+// Each slot runs the paper's Fig. 4 tasks in two halves: decodeSlot (the
+// SIB, RACH and DCI tasks) reads the scope's state, and merge folds the
+// findings back in, strictly in slot order. A Scope is driven by one
+// goroutine at a time: inline through ProcessSlot, or inside a shard
+// worker (internal/shard) when cells decode in parallel. WithDCIThreads
+// stripes one slot's candidate positions across goroutines.
 package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"nrscope/internal/bus"
@@ -91,9 +92,8 @@ func WithDMRSGate(on bool) Option {
 }
 
 // WithBus attaches a telemetry distribution bus: every record the scope
-// emits (through ProcessSlot or the async Pipeline — both converge on
-// merge) is also published onto b, fanning out to the bus's sinks under
-// their own queues and backpressure policies.
+// emits is also published onto b at the merge point, fanning out to the
+// bus's sinks under their own queues and backpressure policies.
 func WithBus(b *bus.Bus) Option {
 	return func(s *Scope) { s.bus = b }
 }
@@ -199,10 +199,9 @@ type Scope struct {
 	departed  []UEActivity
 	lastPurge int
 
-	// Decode-path scratch pool: per-slot working memory (masks, the
-	// position arena, the UE-sweep buffers). Pooled rather than owned so
-	// concurrent pipeline workers never contend on it.
-	slotPool sync.Pool // *slotScratch
+	// Per-slot decode working memory (masks, the position arena, the
+	// UE-sweep buffers), reused slot after slot.
+	scratch *slotScratch
 
 	bus *bus.Bus // optional telemetry distribution bus
 }
@@ -220,6 +219,7 @@ func New(cellID uint16, opts ...Option) *Scope {
 		inactivitySlots: 20000,
 		window:          100 * time.Millisecond,
 		ues:             make(map[uint16]*UETrack),
+		scratch:         &slotScratch{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -283,46 +283,12 @@ func (s *Scope) Bitrate(rnti uint16, downlink bool, nowSlot int) float64 {
 // ProcessSlot runs the full per-TTI processing synchronously: decode
 // against the current state, then merge the findings into the state.
 func (s *Scope) ProcessSlot(cap *radio.Capture) *SlotResult {
-	res := s.decodeSlot(s.snapshot(), cap)
-	return s.merge(res)
-}
-
-// snapshot captures the read-only state a decode pass needs; the worker
-// pool hands snapshots to workers exactly as the paper's scheduler
-// copies its state (known UE list, cell configuration) to idle workers.
-func (s *Scope) snapshot() *snapshot {
-	snap := &snapshot{
-		mib:        s.mib,
-		sib1:       s.sib1,
-		setup:      s.setup,
-		coreset:    s.coreset,
-		ueCoreset:  s.ueCoreset,
-		commonSS:   s.commonSS,
-		ueSS:       s.ueSS,
-		commonCfg:  s.commonCfg,
-		dataCfg:    s.dataCfg,
-		link:       s.link,
-		threads:    s.dciThreads,
-		verifyMSG4: s.verifyMSG4,
-		dmrsGate:   s.dmrsGate,
-	}
-	// One backing array holds both RNTI lists.
-	n := len(s.rntis)
-	buf := make([]uint16, n+len(s.announced))
-	copy(buf, s.rntis)
-	for i, tc := range s.announced {
-		buf[n+i] = tc.rnti
-	}
-	snap.rntis, snap.tcRNTIs = buf[:n:n], buf[n:]
-	return snap
+	return s.merge(s.decodeSlot(cap))
 }
 
 // merge applies a decode result to the scope state, in slot order.
 func (s *Scope) merge(res *decodeResult) *SlotResult {
 	out := &SlotResult{SlotIdx: res.slotIdx, Ref: res.ref, Elapsed: res.elapsed}
-	if res.capture != nil {
-		s.recheckUnannounced(res)
-	}
 
 	if res.mib != nil && s.mib == nil {
 		s.mib = res.mib
@@ -388,10 +354,6 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	}
 	for _, f := range res.data {
 		track := s.ues[f.rnti]
-		if track == nil {
-			met.mergeDropped.Inc()
-			continue // aged out between decode and merge
-		}
 		track.LastSeen = res.slotIdx
 		tracker := track.UL
 		if f.grant.Downlink {

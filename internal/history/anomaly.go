@@ -157,8 +157,8 @@ func (r *anomalyRing) add(a Anomaly) (evicted Anomaly, ok bool) {
 	return evicted, true
 }
 
-// snapshot returns the retained anomalies, oldest first.
-func (r *anomalyRing) snapshot() []Anomaly {
+// list returns the retained anomalies, oldest first.
+func (r *anomalyRing) list() []Anomaly {
 	out := make([]Anomaly, 0, r.n)
 	for i := 0; i < r.n; i++ {
 		out = append(out, r.buf[(r.head+i)%len(r.buf)])
@@ -180,7 +180,7 @@ func (st *Store) addAnomalyLocked(a Anomaly) {
 func (st *Store) Anomalies() []Anomaly {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ram := st.anoms.snapshot()
+	ram := st.anoms.list()
 	if st.lake == nil {
 		return ram
 	}

@@ -107,7 +107,7 @@ func TestAnomalyRingBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.add(Anomaly{AtMs: float64(i)})
 	}
-	got := r.snapshot()
+	got := r.list()
 	if len(got) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(got))
 	}

@@ -1,9 +1,9 @@
-// Package obs is the pipeline observability layer: a dependency-free
+// Package obs is the observability layer: a dependency-free
 // metrics subsystem (atomic counters, gauges, fixed-bucket histograms,
 // and a named registry) with Prometheus-text-format exposition and an
 // opt-in HTTP listener that also wires expvar and pprof.
 //
-// The hot decode path (core.Pipeline, core.Scope) records into
+// The hot decode path (core.Scope) records into
 // package-level metrics resolved from the Default registry at init
 // time, so instrumentation costs one atomic op per event and zero
 // allocations. Snapshot() returns a flat name→value map so tests and
@@ -141,7 +141,7 @@ type Registry struct {
 
 // Default is the process-wide registry every package-level instrument
 // registers into (Prometheus-style process semantics: metrics aggregate
-// across all pipelines and scopes in the process).
+// across all scopes in the process).
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.

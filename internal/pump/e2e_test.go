@@ -31,7 +31,7 @@ type promBackend struct {
 	queries  []string
 }
 
-func (pb *promBackend) snapshot() ([]promSeries, int, http.Header) {
+func (pb *promBackend) received() ([]promSeries, int, http.Header) {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
 	return append([]promSeries(nil), pb.series...), pb.requests, pb.headers
@@ -123,7 +123,7 @@ func TestE2EPromRW(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	series, _, headers := backend.snapshot()
+	series, _, headers := backend.received()
 	checkPromSeries(t, series, expectedSamples(recs, 1723113600000))
 	for header, want := range map[string]string{
 		"Content-Type":                      "application/x-protobuf",
@@ -168,7 +168,7 @@ func TestE2EPromRWFrameSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	series, requests, _ := backend.snapshot()
+	series, requests, _ := backend.received()
 	if requests < 2 {
 		t.Fatalf("frame_kb=1 produced %d requests, want a split (>= 2)", requests)
 	}
@@ -397,7 +397,7 @@ func TestE2EFlakyBackend(t *testing.T) {
 	}
 	// The recovered record decoded correctly through the same backend.
 	r4 := testRecord(4)
-	series, _, _ := backend.snapshot()
+	series, _, _ := backend.received()
 	found := false
 	for _, ts := range series {
 		if ts.label("__name__") != fieldDefs[0].prom {
@@ -468,7 +468,7 @@ func TestE2EMetroAccounting(t *testing.T) {
 		t.Errorf("sent(%d) + dropped(%d) = %d, want published %d",
 			sent, dropped, sent+dropped, published)
 	}
-	series, requests, _ := backend.snapshot()
+	series, requests, _ := backend.received()
 	if got, want := int64(len(series)), sent*int64(len(fieldDefs)); got != want {
 		t.Errorf("backend decoded %d series, want %d (4 per sent record)", got, want)
 	}

@@ -3,15 +3,18 @@ package shard
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"nrscope/internal/bus"
 	"nrscope/internal/channel"
 	"nrscope/internal/core"
 	"nrscope/internal/history"
 	"nrscope/internal/radio"
 	"nrscope/internal/ran"
+	"nrscope/internal/telemetry"
 	"nrscope/internal/traffic"
 )
 
@@ -139,6 +142,123 @@ func TestDecodeInShardEndToEnd(t *testing.T) {
 	if perShard != h.DecodedSlots {
 		t.Fatalf("per-shard decode counters sum %d != rollup %d", perShard, h.DecodedSlots)
 	}
+}
+
+// TestSupervisorDecodeMatchesSerial: three cells on two shards, each
+// supervised scope striping its positions over two DCI threads, with
+// every capture queued before the first Flush so the workers decode
+// from a deep backlog. Each cell's record stream, collected through a
+// per-cell bus tap, must equal a one-thread serial ProcessSlot run over
+// the same captures record for record, order included, across the MIB,
+// SIB1 and MSG4 transitions and UEs that attach mid-run; the discovered
+// and the tracked UEs must match too.
+func TestSupervisorDecodeMatchesSerial(t *testing.T) {
+	const slots = 160
+	sup := New(Config{Shards: 2, Policy: Block, StallTimeout: -1})
+
+	type cell struct {
+		d      *decodeTB
+		serial *core.Scope
+		caps   []*radio.Capture
+		want   []telemetry.Record
+		tap    *bus.Bus
+		mu     sync.Mutex
+		got    []telemetry.Record
+	}
+	cells := make([]*cell, 3)
+	shardsUsed := make(map[int]bool)
+	for i := range cells {
+		c := &cell{d: newDecodeTB(t, uint16(301+i), int64(41+i)), tap: bus.New()}
+		cells[i] = c
+		id := c.d.cfg.CellID
+		if _, err := c.tap.Subscribe("tap", bus.Block, bus.SinkFunc(func(recs []telemetry.Record) error {
+			c.mu.Lock()
+			c.got = append(c.got, recs...)
+			c.mu.Unlock()
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		c.d.sc = core.New(id, core.WithDCIThreads(2), core.WithBus(c.tap))
+		c.serial = core.New(id)
+		idx, err := sup.AddCell(id, c.d.cfg.Mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardsUsed[idx] = true
+		if err := sup.AttachScope(id, c.d.sc); err != nil {
+			t.Fatal(err)
+		}
+		c.d.addUE()
+		c.d.addUE()
+		for s := 0; s < slots; s++ {
+			if s == slots/2 {
+				c.d.addUE()
+			}
+			capt := c.d.stepRaw()
+			c.caps = append(c.caps, capt)
+			c.want = append(c.want, c.serial.ProcessSlot(capt).Records...)
+		}
+	}
+	if len(shardsUsed) != 2 {
+		t.Fatalf("cells landed on %d shards, want 2", len(shardsUsed))
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	for s := 0; s < slots; s++ {
+		for _, c := range cells {
+			if err := sup.SubmitCapture(c.d.cfg.CellID, c.caps[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sup.Flush()
+	if h := sup.Health(); h.DecodedSlots != 3*slots || h.Dropped != 0 {
+		t.Fatalf("decoded %d of %d captures, %d dropped", h.DecodedSlots, 3*slots, h.Dropped)
+	}
+
+	for _, c := range cells {
+		id := c.d.cfg.CellID
+		if err := c.tap.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.serial.SetupKnown() || len(newUEs(c.want)) < 3 {
+			t.Fatalf("cell %d: serial run found %d UEs (setup known: %v); the test did not reach MSG4 discovery",
+				id, len(newUEs(c.want)), c.serial.SetupKnown())
+		}
+		if len(c.got) != len(c.want) {
+			t.Errorf("cell %d: supervised run emitted %d records, serial %d", id, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if i >= len(c.got) {
+				break
+			}
+			if !reflect.DeepEqual(c.got[i], c.want[i]) {
+				t.Errorf("cell %d: record %d differs:\n supervised %+v\n serial     %+v", id, i, c.got[i], c.want[i])
+				break
+			}
+		}
+		if got, want := newUEs(c.got), newUEs(c.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %d: supervised run discovered %v, serial %v", id, got, want)
+		}
+		if got, want := c.d.sc.KnownUEs(), c.serial.KnownUEs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %d: supervised scope tracks %v, serial %v", id, got, want)
+		}
+	}
+}
+
+// newUEs lists the C-RNTIs of a record stream's MSG4 discoveries, in
+// discovery order.
+func newUEs(recs []telemetry.Record) []uint16 {
+	var out []uint16
+	for _, r := range recs {
+		if r.NewUE {
+			out = append(out, r.RNTI)
+		}
+	}
+	return out
 }
 
 // TestDecodeRestartOnPanic: a panic raised while decoding a capture

@@ -2,24 +2,11 @@ package telemetry
 
 import "nrscope/internal/obs"
 
-// met is the telemetry sink instrumentation: how many samples left the
-// process through each sink (log writer, TCP stream) and how far the
-// stream is backed up.
+// met is the telemetry sink instrumentation: how many samples the JSONL
+// log writer appended.
 var met = struct {
-	recordsWritten   *obs.Counter
-	recordsPublished *obs.Counter
-	subscribers      *obs.Gauge
-	subscribersDrop  *obs.Counter
-	backlogBytes     *obs.Gauge
+	recordsWritten *obs.Counter
 }{
 	recordsWritten: obs.Default.Counter("nrscope_telemetry_records_written_total",
 		"telemetry records appended to the JSONL log writer"),
-	recordsPublished: obs.Default.Counter("nrscope_telemetry_records_published_total",
-		"record deliveries over the TCP stream (records x subscribers)"),
-	subscribers: obs.Default.Gauge("nrscope_telemetry_subscribers",
-		"currently connected TCP stream subscribers"),
-	subscribersDrop: obs.Default.Counter("nrscope_telemetry_subscribers_dropped_total",
-		"subscribers disconnected for failed or stalled writes"),
-	backlogBytes: obs.Default.Gauge("nrscope_telemetry_stream_backlog_bytes",
-		"bytes buffered towards subscribers at the last publish"),
 }

@@ -1,8 +1,9 @@
 // Package telemetry defines NR-Scope's output: per-DCI records, the
 // sliding-window throughput estimator of §3.2.2, the fair-share spare
 // capacity computation of §5.4.1, a JSONL log writer (the paper's log
-// file in Fig. 4), and a TCP streaming service so application servers
-// can consume the feed in real time (§6, congestion control use case).
+// file in Fig. 4), and the client of the TCP stream (served by
+// bus.TCPServer) through which application servers consume the feed in
+// real time (§6, congestion control use case).
 package telemetry
 
 import (

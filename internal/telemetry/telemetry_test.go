@@ -231,58 +231,3 @@ func TestWriterReadAllRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestServerClientStreaming(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Wait for the subscription to register.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Subscribers() != 1 {
-		t.Fatal("subscriber never registered")
-	}
-	want := rec(42, 0x4601, 12345, false)
-	s.Publish(want)
-	got, err := c.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SlotIdx != 42 || got.RNTI != 0x4601 || got.TBS != 12345 {
-		t.Errorf("streamed record mismatch: %+v", got)
-	}
-}
-
-func TestServerDropsDeadSubscribers(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	_ = c.Close()
-	// Publishing into the closed connection must eventually drop it.
-	for i := 0; i < 100 && s.Subscribers() > 0; i++ {
-		s.Publish(rec(i, 1, 100, false))
-		time.Sleep(time.Millisecond)
-	}
-	if s.Subscribers() != 0 {
-		t.Error("dead subscriber never dropped")
-	}
-}

@@ -36,8 +36,9 @@ import (
 	"nrscope/internal/traffic"
 )
 
-// Re-exported engine types. Scope is the paper's telemetry engine;
-// Pipeline its asynchronous Fig.-4 worker-pool form.
+// Re-exported engine types. Scope is the paper's telemetry engine; to
+// decode several cells in parallel, attach their scopes to a shard
+// supervisor (internal/shard, the -shards flag of cmd/nrscope).
 type (
 	// Scope is the NR-Scope telemetry engine (one per monitored cell).
 	Scope = core.Scope
@@ -45,12 +46,6 @@ type (
 	SlotResult = core.SlotResult
 	// Option configures the engine.
 	Option = core.Option
-	// Pipeline is the asynchronous worker-pool front of the engine.
-	Pipeline = core.Pipeline
-	// DecodePool is the shared multi-cell decode worker pool: per-cell
-	// slot order stays strict while cells decode concurrently, with
-	// work-stealing across the registered cells.
-	DecodePool = core.DecodePool
 	// Record is one decoded DCI's telemetry row.
 	Record = telemetry.Record
 	// Capture is one received slot from the radio front end.
@@ -91,18 +86,6 @@ func NewBus() *Bus { return bus.New() }
 // New creates a telemetry engine for the cell with the given physical
 // cell id.
 func New(cellID uint16, opts ...Option) *Scope { return core.New(cellID, opts...) }
-
-// NewPipeline wraps a scope in the asynchronous worker-pool pipeline.
-func NewPipeline(s *Scope, workers, queueDepth int) *Pipeline {
-	return core.NewPipeline(s, workers, queueDepth)
-}
-
-// NewDecodePool creates a shared decode pool; register each cell's
-// scope with AddCell, then Start, then feed it captures (for example
-// from Testbed.StepRaw) with Submit.
-func NewDecodePool(workers, queueDepth int) *DecodePool {
-	return core.NewDecodePool(workers, queueDepth)
-}
 
 // Preset selects one of the evaluation cells of the paper (§5.1).
 type Preset int
@@ -243,8 +226,8 @@ func (tb *Testbed) StepCapture() (*Capture, *SlotResult) {
 }
 
 // StepRaw advances one TTI and returns the radio capture WITHOUT
-// running the scope — for feeding a DecodePool or a shard supervisor
-// that decodes elsewhere. It disables the receiver's capture-buffer
+// running the scope — for feeding a shard supervisor whose worker
+// decodes it (shard.Supervisor.SubmitCapture). It disables the receiver's capture-buffer
 // recycling: queued captures must own their grids.
 func (tb *Testbed) StepRaw() *Capture {
 	tb.RX.Reuse(false)
