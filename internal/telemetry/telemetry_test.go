@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -229,5 +230,56 @@ func TestWriterReadAllRoundTrip(t *testing.T) {
 		if r.SlotIdx != i || r.TBS != 1000*i {
 			t.Errorf("record %d mismatch: %+v", i, r)
 		}
+	}
+}
+
+// TestServerClientStreaming: a stream server writing JSON lines to its
+// peer (the wire format bus.TCPServer serves) is read back by Dial and
+// Next record by record, in order, and Next reports the server's
+// hang-up as an error once the stream ends.
+func TestServerClientStreaming(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := []Record{rec(42, 0x4601, 12345, false), rec(43, 0x4602, 800, true)}
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		w := NewWriter(conn)
+		for _, r := range sent {
+			if err := w.Write(r); err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- w.Flush()
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, want := range sent {
+		got, err := c.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if got.SlotIdx != want.SlotIdx || got.RNTI != want.RNTI || got.TBS != want.TBS || got.IsRetx != want.IsRetx {
+			t.Errorf("record %d: streamed %+v, sent %+v", i, got, want)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Next(); err == nil {
+		t.Error("Next returned a record after the server hung up")
 	}
 }
