@@ -1,9 +1,9 @@
-// Command nrscope runs the telemetry tool against a simulated 5G SA
-// cell: it acquires MIB/SIB1, tracks UE associations through the RACH,
-// decodes every UE's DCIs per TTI, and distributes the telemetry
-// through the internal/bus fanout to any number of sinks — JSONL log
-// files, TCP subscribers, and a live SSE feed on the observability
-// endpoint (the paper's §6 feedback path).
+// Command nrscope runs the telemetry tool against simulated 5G SA cells
+// or a recorded capture: it acquires MIB/SIB1, tracks UE associations
+// through the RACH, decodes every UE's DCIs per TTI, and distributes the
+// telemetry through the internal/bus fanout to any number of sinks —
+// JSONL log files, TCP subscribers, remote stores, and a live SSE feed
+// on the observability endpoint (the paper's §6 feedback path).
 //
 // Usage:
 //
@@ -12,16 +12,26 @@
 //	nrscope -metrics 127.0.0.1:9090 -sink sse ...   # SSE feed on /events
 //	nrscope -record capture.nrsc -duration 10s      # save the air capture
 //	nrscope -replay capture.nrsc -sink jsonl:t.jsonl  # post-process offline
-//	nrscope -history -metrics 127.0.0.1:9090 ...    # /history query API
 //	nrscope -lake ./lake -lake-retention 1h ...     # spill history to disk
-//	nrscope -cell amarisoft -fuse-cell mosolab -history ...  # multi-cell fusion
-//	nrscope -shards 4 -cell amarisoft -fuse-cell mosolab ... # sharded supervisor
+//	nrscope -cell amarisoft -fuse-cell mosolab ...  # multi-cell fusion
+//	nrscope -shards 4 -cell amarisoft -fuse-cell mosolab ... # 4 decode shards
 //
-// Repeating -fuse-cell monitors additional cells and fuses every cell's
-// stream through the §7 aggregator: per-cell load, cross-cell handover
-// and carrier-aggregation candidates are reported at exit. With
-// -history, the fusion aggregator and the /history query API share one
-// bounded store — one copy of the bins backs both.
+// Every run has one shape. The monitored cells (-cell plus every
+// -fuse-cell, or the one cell of a -replay file) are partitioned across
+// -shards supervised shards (internal/shard, default 1). Each shard
+// worker blind-decodes its cells' captures with their scopes, folds the
+// records into its own history partition (and, with several cells, its
+// fusion aggregator), and publishes them to the sink bus. A shard is
+// restarted on stall or panic with its partition intact. The capture
+// loop only steps the simulated cells (appending to -record) or reads
+// the -replay file, and queues each slot on its shard. At exit one
+// summary reports slots, records, discovered UEs, cell acquisition,
+// carrier-aggregation and handover candidates, the history top UEs and
+// anomalies, and shard health.
+//
+// With -metrics the cross-shard rollup is served under /shards, and a
+// single-shard run also serves its partition's query API under
+// /history.
 //
 // The -sink flag is repeatable; its grammar is
 //
@@ -39,20 +49,13 @@
 // pump.FromSpec; with -replay they backfill a recorded capture into the
 // remote store. At exit every bus subscription prints a delivery
 // summary (delivered / dropped / retries / quarantines).
-//
-// With -shards N the cells (the -cell preset plus every -fuse-cell) are
-// partitioned across N supervised shards (internal/shard): each shard
-// owns its own history partition, bus publisher, and — in multi-cell
-// runs — its own fusion aggregator, and is restarted on stall or panic
-// with its partition intact. The cross-shard rollup is served under
-// /shards on the -metrics mux and summarized at exit.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,10 +64,10 @@ import (
 	"nrscope"
 	"nrscope/internal/bus"
 	"nrscope/internal/capfile"
-	"nrscope/internal/fusion"
 	"nrscope/internal/history"
 	"nrscope/internal/lake"
 	"nrscope/internal/obs"
+	"nrscope/internal/phy"
 	"nrscope/internal/pump"
 	"nrscope/internal/shard"
 )
@@ -79,350 +82,321 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
+// captureQueue bounds each shard's queue, in slot captures. A queued
+// capture owns its grid (~55 KB per Amarisoft 20 MHz slot), so the
+// supervisor's default 8192-slot queue could hold hundreds of MB during
+// a fast -replay; under Block backpressure a short queue only paces the
+// capture loop to the decoders.
+const captureQueue = 8
+
+// step is how much simulated time each live cell advances before the
+// capture loop moves on to the next cell.
+const step = 50 * time.Millisecond
+
+// cellRun is one monitored cell: its scope, the testbed stepping it
+// (nil when the captures come from a -replay file), and its progress.
+type cellRun struct {
+	name  string
+	id    uint16
+	scope *nrscope.Scope
+	tb    *nrscope.Testbed
+	mu    phy.Numerology
+	slots int // captures submitted
+	last  int // slot index of the newest capture
+}
+
 func main() {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and drives one monitoring run, writing progress and
+// the end-of-run summary to stderr.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("nrscope", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var sinks, fuseCells stringList
 	var (
-		cellName = flag.String("cell", "amarisoft", "cell preset: srsran|mosolab|amarisoft|tmobile1|tmobile2")
-		ues      = flag.Int("ues", 2, "number of simulated UEs")
-		duration = flag.Duration("duration", 5*time.Second, "capture duration")
-		threads  = flag.Int("threads", 1, "DCI decoding threads")
-		seed     = flag.Int64("seed", 1, "random seed")
-		rotateMB = flag.Int64("sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
-		noVerify = flag.Bool("skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
-		record   = flag.String("record", "", "save the raw capture stream to this file")
-		replay   = flag.String("replay", "", "process a recorded capture file instead of live slots")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics, /debug/vars, /debug/pprof and the /events SSE feed on this address (e.g. 127.0.0.1:9090)")
+		cellName = fs.String("cell", "amarisoft", "cell preset: srsran|mosolab|amarisoft|tmobile1|tmobile2")
+		ues      = fs.Int("ues", 2, "number of simulated UEs per cell")
+		duration = fs.Duration("duration", 5*time.Second, "capture duration")
+		threads  = fs.Int("threads", 1, "DCI decoding threads per scope")
+		seed     = fs.Int64("seed", 1, "random seed")
+		rotateMB = fs.Int64("sink-rotate-mb", 0, "rotate jsonl sinks after this many MiB (0 = never)")
+		noVerify = fs.Bool("skip-msg4-verify", false, "skip RRC Setup PDSCH verification of new UEs (paper's shortcut)")
+		record   = fs.String("record", "", "save the raw capture stream of the one monitored cell to this file")
+		replay   = fs.String("replay", "", "process a recorded capture file instead of live slots")
+		metrics  = fs.String("metrics", "", "serve Prometheus /metrics, /debug/vars, /debug/pprof, /shards, /history and the /events SSE feed on this address (e.g. 127.0.0.1:9090)")
 
-		shards      = flag.Int("shards", 0, "partition the monitored cells across N supervised shards (0 = unsharded); composes with -fuse-cell, -history and -sink")
-		hist        = flag.Bool("history", false, "keep a queryable session-history store (served under /history on the -metrics mux)")
-		histBin     = flag.Duration("history-bin", 100*time.Millisecond, "history aggregation bin width")
-		histDepth   = flag.Int("history-depth", 600, "bins of history retained per UE and per cell")
-		histMaxUEs  = flag.Int("history-max-ues", 10000, "UE series cap in the history store (LRU eviction beyond it)")
-		idleHorizon = flag.Duration("idle-horizon", 0, "evict UEs idle longer than this from the scope and the history store (0 = slot-count default)")
+		shards      = fs.Int("shards", 1, "partition the monitored cells across N supervised decode shards")
+		histBin     = fs.Duration("history-bin", 100*time.Millisecond, "history aggregation bin width")
+		histDepth   = fs.Int("history-depth", 600, "bins of history retained per UE and per cell")
+		histMaxUEs  = fs.Int("history-max-ues", 10000, "UE series cap across the history partitions (LRU eviction beyond it)")
+		idleHorizon = fs.Duration("idle-horizon", 0, "evict UEs idle longer than this from the scope and the history (0 = slot-count default)")
 
-		lakeDir       = flag.String("lake", "", "spill history bins evicted from RAM into columnar segments under this directory (implies -history; queries answer across RAM + disk)")
-		lakeSegMB     = flag.Int64("lake-segment-mb", 8, "seal lake segments at this many MiB")
-		lakeRetention = flag.Duration("lake-retention", 0, "drop lake segments wholly older than this horizon (0 = keep everything)")
+		lakeDir       = fs.String("lake", "", "spill history bins evicted from RAM into columnar segments under this directory (queries answer across RAM + disk)")
+		lakeSegMB     = fs.Int64("lake-segment-mb", 8, "seal lake segments at this many MiB")
+		lakeRetention = fs.Duration("lake-retention", 0, "drop lake segments wholly older than this horizon (0 = keep everything)")
 	)
-	flag.Var(&sinks, "sink", "telemetry sink (repeatable): jsonl:PATH | tcp:ADDR | sse")
-	flag.Var(&fuseCells, "fuse-cell", "additional cell preset to monitor and fuse with -cell (repeatable; enables the multi-cell aggregator)")
-	flag.Parse()
+	fs.Var(&sinks, "sink", "telemetry sink (repeatable): jsonl:PATH | tcp:ADDR | sse | promrw:URL | influx:URL | otlp:URL")
+	fs.Var(&fuseCells, "fuse-cell", "additional cell preset to monitor and fuse with -cell (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *shards < 1 {
+		return fmt.Errorf("nrscope: -shards %d: want at least 1", *shards)
+	}
+	if *record != "" && *replay != "" {
+		return errors.New("nrscope: -record and -replay are exclusive")
+	}
+	if (*record != "" || *replay != "") && len(fuseCells) > 0 {
+		return errors.New("nrscope: -record and -replay take exactly one cell (no -fuse-cell)")
+	}
 
 	var metricsSrv *obs.Server
 	if *metrics != "" {
 		obs.PublishExpvar()
 		srv, err := obs.Serve(*metrics)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		metricsSrv = srv
-		fmt.Fprintf(os.Stderr, "nrscope: observability on http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stderr, "nrscope: observability on http://%s/metrics\n", srv.Addr())
 	}
-
-	b, closeBus, err := setupSinks(sinks, *rotateMB, metricsSrv)
+	b, closeBus, err := setupSinks(sinks, *rotateMB, metricsSrv, stderr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer closeBus() // after sup.Close: drains what the shard workers published
 
-	// Sharded mode replaces the single shared store with per-shard
-	// partitions owned by the supervisor, so it branches off before the
-	// store is built. The -history* flags configure the partitions.
-	lakeCfg := lake.Config{
-		SegmentBytes: *lakeSegMB << 20,
-		Retention:    *lakeRetention,
-		BinWidth:     *histBin,
-	}
-	if *shards > 0 {
-		if *record != "" || *replay != "" {
-			log.Fatal("nrscope: -shards cannot be combined with -record or -replay")
-		}
-		histCfg := history.Config{
-			BinWidth: *histBin, Depth: *histDepth,
-			MaxUEs:      maxUEsPerShard(*histMaxUEs, *shards),
-			IdleHorizon: *idleHorizon,
-		}
-		runSharded(append([]string{*cellName}, fuseCells...), *shards, *ues, *duration, *seed,
-			buildOpts(*threads, *noVerify, *idleHorizon), b, metricsSrv, histCfg, *lakeDir, lakeCfg)
-		closeBus()
-		return
-	}
-
-	// The history store is a Block (lossless) bus subscriber, so turning
-	// it on creates a bus even when no -sink flags asked for one. -lake
-	// spills the store's evicted bins to disk, so it implies the store.
-	var store *history.Store
-	var lk *lake.Lake
-	if *hist || *lakeDir != "" {
-		if b == nil {
-			nb := bus.New()
-			b = nb
-			closeBus = func() {
-				if err := nb.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "nrscope: history drain: %v\n", err)
-				}
-			}
-		}
-		store = history.New(history.Config{
-			BinWidth: *histBin, Depth: *histDepth, MaxUEs: *histMaxUEs,
-			IdleHorizon: *idleHorizon,
-		})
-		if *lakeDir != "" {
-			var lerr error
-			lk, lerr = lake.Open(*lakeDir, lakeCfg)
-			if lerr != nil {
-				log.Fatal(lerr)
-			}
-			store.AttachLake(lk)
-			fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s\n", *lakeDir)
-		}
-		if metricsSrv != nil {
-			store.Mount(metricsSrv)
-			fmt.Fprintf(os.Stderr, "nrscope: history API on http://%s/history/ues\n", metricsSrv.Addr())
-		}
-	}
-
-	opts := buildOpts(*threads, *noVerify, *idleHorizon)
-	if len(fuseCells) > 0 {
-		if *record != "" || *replay != "" {
-			log.Fatal("nrscope: -fuse-cell cannot be combined with -record or -replay")
-		}
-		// Multi-cell mode: the scopes do not publish to the bus
-		// themselves — the fusion aggregator mirrors the fused stream
-		// onto it, and feeds the (shared) history store directly.
-		runMultiCell(append([]string{*cellName}, fuseCells...), *ues, *duration, *seed, opts, b, store, *idleHorizon)
-		closeBus()
-		if store != nil {
-			printHistorySummary(store)
-		}
-		closeLake(lk)
-		return
-	}
-	if b != nil {
-		opts = append(opts, nrscope.WithBus(b))
-	}
-	if *replay != "" {
-		runReplay(*replay, opts, b, store)
-		closeBus() // drain Block subscribers before reading the store
-		if store != nil {
-			printHistorySummary(store)
-		}
-		closeLake(lk)
-		return
-	}
-
-	preset, err := presetByName(*cellName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tb, err := nrscope.NewTestbed(preset, *seed, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < *ues; i++ {
-		tb.AttachUE(nrscope.UEProfile{})
-	}
-	cellID := tb.GNB.Config().CellID
-	if store != nil {
-		if err := store.AddCell(cellID, tb.TTI()); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := store.SubscribeTo(b, cellID); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var recorder *capfile.Writer
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		cfg := tb.GNB.Config()
-		recorder, err = capfile.NewWriter(f, capfile.Header{
-			CellID: cfg.CellID, Mu: cfg.Mu, NumPRB: cfg.CarrierPRBs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer recorder.Close()
-	}
-
-	var records, newUEs int
-	var elapsed time.Duration
-	slots := int(*duration / tb.TTI())
-	for i := 0; i < slots; i++ {
-		cap, res := tb.StepCapture()
-		if recorder != nil {
-			if err := recorder.Append(cap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if res.MIBAcquired {
-			fmt.Fprintf(os.Stderr, "nrscope: MIB acquired at slot %d\n", res.SlotIdx)
-		}
-		if res.SIB1Acquired {
-			fmt.Fprintf(os.Stderr, "nrscope: SIB1 acquired at slot %d\n", res.SlotIdx)
-		}
-		newUEs += len(res.NewUEs)
-		for _, rnti := range res.NewUEs {
-			fmt.Fprintf(os.Stderr, "nrscope: new UE c-rnti=0x%04x at slot %d\n", rnti, res.SlotIdx)
-		}
-		records += len(res.Records)
-		elapsed += res.Elapsed
-		if store != nil && res.Spare != nil {
-			store.IngestSpare(cellID, res.SlotIdx, res.Spare)
-		}
-	}
-	if recorder != nil {
-		fmt.Fprintf(os.Stderr, "nrscope: recorded %d slots to %s\n", recorder.Slots(), *record)
-	}
-
-	fmt.Fprintf(os.Stderr, "nrscope: %d records, %d UEs discovered, mean processing %.1f us/slot\n",
-		records, newUEs, float64(elapsed.Microseconds())/float64(slots))
-	for _, rnti := range tb.Scope.KnownUEs() {
-		dl := tb.Scope.Bitrate(rnti, true, tb.GNB.SlotIdx())
-		ul := tb.Scope.Bitrate(rnti, false, tb.GNB.SlotIdx())
-		fmt.Fprintf(os.Stderr, "  ue 0x%04x: DL %.2f Mbps, UL %.2f Mbps\n", rnti, dl/1e6, ul/1e6)
-	}
-	closeBus() // drain Block subscribers before reading the store
-	if store != nil {
-		printHistorySummary(store)
-	}
-	closeLake(lk)
-}
-
-// closeLake drains the lake's spill queue to disk, reports its totals,
-// and releases it.
-func closeLake(lk *lake.Lake) {
-	if lk == nil {
-		return
-	}
-	_ = lk.Sync()
-	st := lk.Stats()
-	if err := lk.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "nrscope: lake close: %v\n", err)
-	}
-	fmt.Fprintf(os.Stderr, "nrscope: lake: %d segments, %d KiB, %d bins + %d anomalies spilled, %d compactions\n",
-		st.Segments, st.Bytes>>10, st.SpilledBins, st.SpilledAnomalies, st.Compactions)
-	if st.DroppedEntries > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: lake dropped %d spill entries (queue overflow)\n", st.DroppedEntries)
-	}
-}
-
-// buildOpts translates the scope-tuning flags into testbed options.
-func buildOpts(threads int, noVerify bool, idleHorizon time.Duration) []nrscope.Option {
-	opts := []nrscope.Option{nrscope.WithDCIThreads(threads)}
-	if noVerify {
+	opts := []nrscope.Option{nrscope.WithDCIThreads(*threads)}
+	if *noVerify {
 		opts = append(opts, nrscope.WithVerifyMSG4(false))
 	}
-	if idleHorizon > 0 {
-		opts = append(opts, nrscope.WithIdleHorizon(idleHorizon))
+	if *idleHorizon > 0 {
+		opts = append(opts, nrscope.WithIdleHorizon(*idleHorizon))
 	}
-	return opts
-}
 
-// maxUEsPerShard divides the global -history-max-ues cap across the
-// shard partitions (each partition enforces its own LRU cap).
-func maxUEsPerShard(maxUEs, shards int) int {
-	per := maxUEs / shards
-	if per < 1 {
-		per = 1
+	// The cells: the one cell of a -replay file, or one simulated
+	// testbed per preset.
+	var cells []*cellRun
+	var rd *capfile.Reader
+	if *replay != "" {
+		f, err := os.Open(*replay)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if rd, err = capfile.NewReader(f); err != nil {
+			return err
+		}
+		hdr := rd.Header()
+		fmt.Fprintf(stderr, "nrscope: replaying cell %d (%v, %d PRBs) from %s\n",
+			hdr.CellID, hdr.Mu, hdr.NumPRB, *replay)
+		cells = append(cells, &cellRun{name: "replay", id: hdr.CellID,
+			scope: nrscope.New(hdr.CellID, opts...), mu: hdr.Mu})
+	} else {
+		for i, name := range append([]string{*cellName}, fuseCells...) {
+			preset, err := presetByName(name)
+			if err != nil {
+				return err
+			}
+			tb, err := nrscope.NewTestbed(preset, *seed+int64(i), opts...)
+			if err != nil {
+				return err
+			}
+			for u := 0; u < *ues; u++ {
+				tb.AttachUE(nrscope.UEProfile{})
+			}
+			cfg := tb.GNB.Config()
+			cells = append(cells, &cellRun{name: name, id: cfg.CellID, scope: tb.Scope, tb: tb, mu: cfg.Mu})
+		}
 	}
-	return per
-}
+	if *shards > len(cells) {
+		fmt.Fprintf(stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
+			*shards, len(cells), *shards-len(cells))
+	}
 
-// runSharded drives one testbed per cell preset through the sharded
-// supervisor: cells are partitioned across the shards, each shard folds
-// its cells' records into its own history partition (and, in multi-cell
-// runs, its own fusion aggregator) and publishes to the bus. The
-// cross-shard rollup is served under /shards on the -metrics mux and
-// printed at exit.
-func runSharded(cellNames []string, shards, ues int, duration time.Duration, seed int64,
-	opts []nrscope.Option, b *bus.Bus, metricsSrv *obs.Server, histCfg history.Config,
-	lakeDir string, lakeCfg lake.Config) {
-	if shards > len(cellNames) {
-		fmt.Fprintf(os.Stderr, "nrscope: %d shards for %d cells; %d shards will idle\n",
-			shards, len(cellNames), shards-len(cellNames))
+	// The UE cap is split across the partitions that own a cell; shards
+	// beyond the cell count idle.
+	histCfg := history.Config{
+		BinWidth: *histBin, Depth: *histDepth,
+		MaxUEs:      max(*histMaxUEs/min(*shards, len(cells)), 1),
+		IdleHorizon: *idleHorizon,
 	}
 	sup := shard.New(shard.Config{
-		Shards:  shards,
-		History: histCfg,
-		Fusion:  len(cellNames) > 1,
-		Bus:     b,
+		Shards:    *shards,
+		QueueSize: captureQueue,
+		Policy:    shard.Block,
+		History:   histCfg,
+		Fusion:    len(cells) > 1,
+		Bus:       b,
 	})
-	// One lake partition per shard: a shard's evicted bins spill under
-	// its own subdirectory, and the rollup layer's fan-in sees RAM +
-	// disk through each partition's queries.
 	var lakes []*lake.Lake
-	if lakeDir != "" {
+	defer func() { // after sup.Close: no partition spills any more
+		for _, lk := range lakes {
+			closeLake(lk, stderr)
+		}
+	}()
+	if *lakeDir != "" {
+		// One lake per history partition; a single partition keeps its
+		// lake at the directory itself.
 		if err := sup.AttachLakes(func(i int) (history.Lake, error) {
-			l, err := lake.Open(filepath.Join(lakeDir, fmt.Sprintf("shard-%d", i)), lakeCfg)
-			if err == nil {
-				lakes = append(lakes, l)
+			dir := *lakeDir
+			if *shards > 1 {
+				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 			}
-			return l, err
+			lk, err := lake.Open(dir, lake.Config{
+				SegmentBytes: *lakeSegMB << 20, Retention: *lakeRetention, BinWidth: *histBin,
+			})
+			if err == nil {
+				lakes = append(lakes, lk)
+			}
+			return lk, err
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "nrscope: telemetry lake at %s (%d shard partitions)\n", lakeDir, shards)
+		fmt.Fprintf(stderr, "nrscope: telemetry lake at %s (%d partitions)\n", *lakeDir, *shards)
 	}
-	type cellRun struct {
-		tb *nrscope.Testbed
-		id uint16
-	}
-	cells := make([]cellRun, 0, len(cellNames))
-	for i, name := range cellNames {
-		preset, err := presetByName(name)
+	defer sup.Close() // idempotent; drains the workers before the lakes and sinks close
+	for _, c := range cells {
+		idx, err := sup.AddCell(c.id, c.mu)
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("nrscope: cell %q: %w", c.name, err)
 		}
-		tb, err := nrscope.NewTestbed(preset, seed+int64(i), opts...)
-		if err != nil {
-			log.Fatal(err)
+		if err := sup.AttachScope(c.id, c.scope); err != nil {
+			return fmt.Errorf("nrscope: cell %q: %w", c.name, err)
 		}
-		cfg := tb.GNB.Config()
-		idx, err := sup.AddCell(cfg.CellID, cfg.Mu)
-		if err != nil {
-			log.Fatalf("nrscope: sharding %q: %v", name, err)
-		}
-		// Decode-in-shard: the shard worker owning this cell runs the
-		// blind decode itself, so the capture loop below only steps the
-		// simulators and queues raw slots.
-		if err := sup.AttachScope(cfg.CellID, tb.Scope); err != nil {
-			log.Fatalf("nrscope: sharding %q: %v", name, err)
-		}
-		for u := 0; u < ues; u++ {
-			tb.AttachUE(nrscope.UEProfile{})
-		}
-		cells = append(cells, cellRun{tb, cfg.CellID})
-		fmt.Fprintf(os.Stderr, "nrscope: cell %d (%s, %v) on shard %d\n", cfg.CellID, name, cfg.Mu, idx)
+		fmt.Fprintf(stderr, "nrscope: cell %d (%s, %v) on shard %d\n", c.id, c.name, c.mu, idx)
 	}
 	if err := sup.Start(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if metricsSrv != nil {
 		sup.Mount(metricsSrv)
-		fmt.Fprintf(os.Stderr, "nrscope: shard rollup API on http://%s/shards\n", metricsSrv.Addr())
+		fmt.Fprintf(stderr, "nrscope: shard rollup API on http://%s/shards\n", metricsSrv.Addr())
+		if *shards == 1 {
+			sup.Store(0).Mount(metricsSrv)
+			fmt.Fprintf(stderr, "nrscope: history API on http://%s/history/ues\n", metricsSrv.Addr())
+		}
 	}
 
-	step := 50 * time.Millisecond
-	for t := time.Duration(0); t < duration; t += step {
-		for _, c := range cells {
-			perStep := int(step / c.tb.TTI())
-			for i := 0; i < perStep; i++ {
-				if err := sup.SubmitCapture(c.id, c.tb.StepRaw()); err != nil {
-					log.Fatal(err)
+	submit := func(c *cellRun, cap *nrscope.Capture) error {
+		c.slots++
+		c.last = cap.SlotIdx
+		return sup.SubmitCapture(c.id, cap)
+	}
+	if rd != nil {
+		for {
+			cap, err := rd.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			if err := submit(cells[0], cap); err != nil {
+				return err
+			}
+		}
+	} else {
+		var recorder *capfile.Writer
+		var recFile *os.File
+		if *record != "" {
+			if recFile, err = os.Create(*record); err != nil {
+				return err
+			}
+			defer recFile.Close() // error paths; the success path checks Close below
+			recorder, err = capfile.NewWriter(recFile, capfile.Header{
+				CellID: cells[0].id, Mu: cells[0].mu, NumPRB: cells[0].tb.GNB.Config().CarrierPRBs,
+			})
+			if err != nil {
+				return err
+			}
+		}
+		// Every cell advances step by step through the same simulated
+		// time, each to int(duration/TTI) slots in total.
+		for t := time.Duration(0); t < *duration; t += step {
+			end := min(t+step, *duration)
+			for _, c := range cells {
+				for c.slots < int(end/c.mu.SlotDuration()) {
+					cap := c.tb.StepRaw()
+					if recorder != nil {
+						if err := recorder.Append(cap); err != nil {
+							return err
+						}
+					}
+					if err := submit(c, cap); err != nil {
+						return err
+					}
 				}
 			}
 		}
+		if recorder != nil {
+			if err := recorder.Close(); err != nil {
+				return err
+			}
+			if err := recFile.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "nrscope: recorded %d slots to %s\n", recorder.Slots(), *record)
+		}
 	}
 	sup.Flush()
+	printSummary(stderr, sup, cells)
+	return nil
+}
 
+// printSummary is the end-of-run report, read from the scopes' own
+// state and the supervisor's rollup once every queued capture has been
+// decoded.
+func printSummary(w io.Writer, sup *shard.Supervisor, cells []*cellRun) {
 	h := sup.Health()
-	fmt.Fprintf(os.Stderr, "nrscope: decoded %d slots across %d cells on %d shards (%d UEs tracked)\n",
-		h.DecodedSlots, h.Cells, h.Shards, h.TrackedUEs)
+	fmt.Fprintf(w, "nrscope: decoded %d slots, %d records across %d cells on %d shards (%d UEs tracked)\n",
+		h.DecodedSlots, h.Records, h.Cells, h.Shards, h.TrackedUEs)
+	for _, c := range cells {
+		sc := c.scope
+		fmt.Fprintf(w, "nrscope: cell %d (%s): %d slots, MIB %s, SIB1 %s, %d UEs discovered\n",
+			c.id, c.name, c.slots, acquired(sc.MIB() != nil), acquired(sc.SIB1() != nil),
+			len(sc.KnownUEs())+len(sc.DepartedUEs()))
+		for _, rnti := range sc.KnownUEs() {
+			fmt.Fprintf(w, "  ue 0x%04x: first seen at slot %d, DL %.2f Mbps, UL %.2f Mbps\n", rnti,
+				sc.Track(rnti).FirstSeen, sc.Bitrate(rnti, true, c.last)/1e6, sc.Bitrate(rnti, false, c.last)/1e6)
+		}
+	}
+	snap := sup.Snapshot()
+	for _, cs := range snap.Cells {
+		fmt.Fprintf(w, "nrscope: history cell %d: %d UEs, DL %d bits, UL %d bits, %d grants, %d retx in the last %d bins\n",
+			cs.Cell, cs.UEs, cs.DLBits, cs.ULBits, cs.Grants, cs.Retx, snap.Depth)
+	}
+	window := time.Duration(snap.BinMs*float64(snap.Depth)) * time.Millisecond
+	if ranks, err := sup.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
+		fmt.Fprintf(w, "nrscope: history top UEs by bits:\n")
+		for _, r := range ranks {
+			fmt.Fprintf(w, "  cell %d ue 0x%04x: %.0f bits\n", r.Cell, r.RNTI, r.Value)
+		}
+	}
+	if anoms := sup.Anomalies(); len(anoms) > 0 {
+		fmt.Fprintf(w, "nrscope: history flagged %d anomalies (last: %s)\n",
+			len(anoms), anoms[len(anoms)-1].String())
+	}
+	if len(cells) > 1 {
+		hos := sup.Handovers()
+		for _, ho := range hos {
+			fmt.Fprintf(w, "nrscope: %s\n", ho)
+		}
+		cas := sup.CarrierAggregation(0.7)
+		for _, ca := range cas {
+			fmt.Fprintf(w, "nrscope: %s\n", ca)
+		}
+		fmt.Fprintf(w, "nrscope: %d handover candidates, %d carrier-aggregation candidates\n", len(hos), len(cas))
+	}
 	for _, ps := range h.PerShard {
 		state := "up"
 		if ps.Dead {
@@ -430,134 +404,30 @@ func runSharded(cellNames []string, shards, ues int, duration time.Duration, see
 		} else if !ps.Up {
 			state = "down"
 		}
-		fmt.Fprintf(os.Stderr, "nrscope: shard %d (%s): %d cells, %d decoded, %d applied, %d dropped, %d restarts, %d UEs\n",
+		fmt.Fprintf(w, "nrscope: shard %d (%s): %d cells, %d decoded, %d applied, %d dropped, %d restarts, %d UEs\n",
 			ps.Shard, state, ps.Cells, ps.DecodedSlots, ps.Applied, ps.Dropped, ps.Restarts, ps.TrackedUEs)
 	}
-	window := time.Duration(histCfg.BinWidth.Milliseconds()*int64(histCfg.Depth)) * time.Millisecond
-	if window <= 0 {
-		window = time.Minute
-	}
-	if ranks, err := sup.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: fused top UEs by bits:\n")
-		for _, r := range ranks {
-			fmt.Fprintf(os.Stderr, "  cell %d ue 0x%04x: %.0f bits\n", r.Cell, r.RNTI, r.Value)
-		}
-	}
-	if len(cellNames) > 1 {
-		hos := sup.Handovers()
-		for _, ho := range hos {
-			fmt.Fprintf(os.Stderr, "nrscope: %s\n", ho)
-		}
-		if len(hos) == 0 {
-			fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
-		}
-	}
-	if anoms := sup.Anomalies(); len(anoms) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: shards flagged %d anomalies (last: %s)\n",
-			len(anoms), anoms[len(anoms)-1].String())
-	}
-	if err := sup.Close(); err != nil {
-		log.Fatal(err)
-	}
-	for _, lk := range lakes {
-		closeLake(lk)
-	}
 }
 
-// runMultiCell drives one testbed per cell preset and fuses every
-// cell's records through the §7 aggregator. With -history the
-// aggregator publishes into the store already serving the query API
-// (one bounded copy of the bins backs both); without it the aggregator
-// owns a private store at the 10 ms correlation bin. Either way memory
-// stays flat for arbitrarily long runs.
-func runMultiCell(cellNames []string, ues int, duration time.Duration, seed int64, opts []nrscope.Option, b *bus.Bus, store *history.Store, idleHorizon time.Duration) {
-	agg := fusion.NewWithStore(store)
-	if idleHorizon > 0 {
-		agg.IdleHorizon = idleHorizon
+func acquired(ok bool) string {
+	if ok {
+		return "acquired"
 	}
-	if b != nil {
-		agg.PublishTo(b)
-	}
-	type cellRun struct {
-		tb *nrscope.Testbed
-		id uint16
-	}
-	cells := make([]cellRun, 0, len(cellNames))
-	for i, name := range cellNames {
-		preset, err := presetByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tb, err := nrscope.NewTestbed(preset, seed+int64(i), opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := tb.GNB.Config()
-		if err := agg.AddCell(cfg.CellID, cfg.Mu); err != nil {
-			log.Fatalf("nrscope: fusing %q: %v", name, err)
-		}
-		for u := 0; u < ues; u++ {
-			tb.AttachUE(nrscope.UEProfile{})
-		}
-		cells = append(cells, cellRun{tb, cfg.CellID})
-		fmt.Fprintf(os.Stderr, "nrscope: fusing cell %d (%s, %v)\n", cfg.CellID, name, cfg.Mu)
-	}
-
-	var records int
-	step := 50 * time.Millisecond
-	for t := time.Duration(0); t < duration; t += step {
-		for _, c := range cells {
-			id := c.id
-			c.tb.RunFor(step, func(res *nrscope.SlotResult) {
-				for _, rec := range res.Records {
-					_ = agg.Ingest(id, rec)
-				}
-				if store != nil && res.Spare != nil {
-					store.IngestSpare(id, res.SlotIdx, res.Spare)
-				}
-				records += len(res.Records)
-			})
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "nrscope: fused %d records across %d cells; merged view holds %d bins\n",
-		records, len(cells), len(agg.Merged()))
-	for _, c := range cells {
-		load, _ := agg.CellLoad(c.id)
-		total, recent, _ := agg.ActiveUEs(c.id, duration, time.Second)
-		fmt.Fprintf(os.Stderr, "nrscope: cell %d: mean load %.2f Mbps, %d UE sessions retained (%d recent)\n",
-			c.id, load/1e6, total, recent)
-	}
-	hos := agg.Handovers()
-	for _, h := range hos {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", h)
-	}
-	if len(hos) == 0 {
-		fmt.Fprintln(os.Stderr, "nrscope: no handover candidates detected")
-	}
-	for _, ca := range agg.CarrierAggregation(0.7) {
-		fmt.Fprintf(os.Stderr, "nrscope: %s\n", ca)
-	}
+	return "not acquired"
 }
 
-// printHistorySummary rolls up the history store at the end of a run:
-// the per-cell retained totals, the busiest UEs, and any anomalies.
-func printHistorySummary(store *history.Store) {
-	snap := store.Snapshot()
-	for _, c := range snap.Cells {
-		fmt.Fprintf(os.Stderr, "nrscope: history cell %d: %d UEs, DL %d bits, UL %d bits, %d grants, %d retx in the last %d bins\n",
-			c.Cell, c.UEs, c.DLBits, c.ULBits, c.Grants, c.Retx, snap.Depth)
+// closeLake drains the lake's spill queue to disk, reports its totals,
+// and releases it.
+func closeLake(lk *lake.Lake, w io.Writer) {
+	_ = lk.Sync()
+	st := lk.Stats()
+	if err := lk.Close(); err != nil {
+		fmt.Fprintf(w, "nrscope: lake close: %v\n", err)
 	}
-	window := time.Duration(snap.BinMs*float64(snap.Depth)) * time.Millisecond
-	if ranks, err := store.TopK("bits", window, 5); err == nil && len(ranks) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: history top UEs by bits:\n")
-		for _, r := range ranks {
-			fmt.Fprintf(os.Stderr, "  ue 0x%04x: %.0f bits\n", r.RNTI, r.Value)
-		}
-	}
-	if anoms := store.Anomalies(); len(anoms) > 0 {
-		fmt.Fprintf(os.Stderr, "nrscope: history flagged %d anomalies (last: %s)\n",
-			len(anoms), anoms[len(anoms)-1].String())
+	fmt.Fprintf(w, "nrscope: lake: %d segments, %d KiB, %d bins + %d anomalies spilled, %d compactions\n",
+		st.Segments, st.Bytes>>10, st.SpilledBins, st.SpilledAnomalies, st.Compactions)
+	if st.DroppedEntries > 0 {
+		fmt.Fprintf(w, "nrscope: lake dropped %d spill entries (queue overflow)\n", st.DroppedEntries)
 	}
 }
 
@@ -565,7 +435,7 @@ func printHistorySummary(store *history.Store) {
 // nil bus when no sinks are requested. The returned closer drains the
 // bus (Block sinks lose zero records), prints each subscription's
 // delivery summary, and then shuts the TCP servers.
-func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bus, func(), error) {
+func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server, stderr io.Writer) (*bus.Bus, func(), error) {
 	if len(specs) == 0 {
 		return nil, func() {}, nil
 	}
@@ -574,14 +444,14 @@ func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bu
 	var subs []*bus.Subscription
 	closer := func() {
 		if err := b.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "nrscope: sink drain: %v\n", err)
+			fmt.Fprintf(stderr, "nrscope: sink drain: %v\n", err)
 		}
 		stats := make([]bus.SubStats, len(subs))
 		for i, sub := range subs {
 			stats[i] = sub.Stats()
 		}
 		for _, line := range formatSinkSummary(stats) {
-			fmt.Fprintf(os.Stderr, "nrscope: %s\n", line)
+			fmt.Fprintf(stderr, "nrscope: %s\n", line)
 		}
 		for _, srv := range tcpServers {
 			_ = srv.Close()
@@ -617,13 +487,13 @@ func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bu
 				return fail(err)
 			}
 			tcpServers = append(tcpServers, srv)
-			fmt.Fprintf(os.Stderr, "nrscope: streaming telemetry on %s\n", srv.Addr())
+			fmt.Fprintf(stderr, "nrscope: streaming telemetry on %s\n", srv.Addr())
 		case "sse":
 			if metricsSrv == nil {
 				return fail(fmt.Errorf("nrscope: -sink sse needs the -metrics endpoint (it serves /events on that mux)"))
 			}
 			metricsSrv.Handle("/events", bus.SSEHandler(b))
-			fmt.Fprintf(os.Stderr, "nrscope: SSE telemetry on http://%s/events\n", metricsSrv.Addr())
+			fmt.Fprintf(stderr, "nrscope: SSE telemetry on http://%s/events\n", metricsSrv.Addr())
 		case "promrw", "influx", "otlp":
 			snk, tun, err := pump.FromSpec(kind, arg)
 			if err != nil {
@@ -647,7 +517,7 @@ func setupSinks(specs []string, rotateMB int64, metricsSrv *obs.Server) (*bus.Bu
 				return fail(err)
 			}
 			subs = append(subs, sub)
-			fmt.Fprintf(os.Stderr, "nrscope: pumping telemetry to %s (%s, %s)\n", snk.URL(), kind, policy)
+			fmt.Fprintf(stderr, "nrscope: pumping telemetry to %s (%s, %s)\n", snk.URL(), kind, policy)
 		default:
 			return fail(fmt.Errorf("nrscope: unknown sink %q (want jsonl:PATH, tcp:ADDR, sse, promrw:URL, influx:URL or otlp:URL)", spec))
 		}
@@ -677,56 +547,6 @@ func formatSinkSummary(stats []bus.SubStats) []string {
 		lines = append(lines, line)
 	}
 	return lines
-}
-
-// runReplay post-processes a recorded capture file offline (§4: the
-// worker pool's on-demand mode; §7: the post-processing library). The
-// scope publishes through the same bus/sink set as a live run.
-func runReplay(path string, opts []nrscope.Option, b *bus.Bus, store *history.Store) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	r, err := capfile.NewReader(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hdr := r.Header()
-	fmt.Fprintf(os.Stderr, "nrscope: replaying cell %d (%v, %d PRBs) from %s\n",
-		hdr.CellID, hdr.Mu, hdr.NumPRB, path)
-	if store != nil {
-		if err := store.AddCell(hdr.CellID, hdr.Mu.SlotDuration()); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := store.SubscribeTo(b, hdr.CellID); err != nil {
-			log.Fatal(err)
-		}
-	}
-	scope := nrscope.New(hdr.CellID, opts...)
-
-	records, slots, lastSlot := 0, 0, 0
-	for {
-		cap, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := scope.ProcessSlot(cap)
-		slots++
-		lastSlot = res.SlotIdx
-		records += len(res.Records)
-		if store != nil && res.Spare != nil {
-			store.IngestSpare(hdr.CellID, res.SlotIdx, res.Spare)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "nrscope: replayed %d slots, %d records, %d UEs tracked\n",
-		slots, records, len(scope.KnownUEs()))
-	for _, rnti := range scope.KnownUEs() {
-		fmt.Fprintf(os.Stderr, "  ue 0x%04x: DL %.2f Mbps\n", rnti, scope.Bitrate(rnti, true, lastSlot)/1e6)
-	}
 }
 
 func presetByName(name string) (nrscope.Preset, error) {

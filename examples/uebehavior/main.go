@@ -46,7 +46,7 @@ func main() {
 	rx := radio.NewReceiver(channel.Normal, 16, 99).Reuse(true)
 	scope := core.New(cfg.CellID,
 		core.WithBus(b),
-		core.WithInactivityTimeout(int(2*time.Second/cfg.TTI())))
+		core.WithIdleHorizon(2*time.Second))
 
 	slots := int(duration / cfg.TTI())
 	for i := 0; i < slots; i++ {

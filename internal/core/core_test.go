@@ -347,7 +347,7 @@ func TestThroughputTracksLedger(t *testing.T) {
 
 func TestUEActivityAging(t *testing.T) {
 	cfg := amari()
-	tb := newTestbed(t, cfg, 25, WithInactivityTimeout(400))
+	tb := newTestbed(t, cfg, 25, WithIdleHorizon(200*time.Millisecond))
 	tb.gnb.AddUE(bulk(cfg), 1000) // departs after 1000 slots
 	sawUE := false
 	for i := 0; i < 2500; i++ {
@@ -439,7 +439,7 @@ func TestMSG4ShortcutTradeoff(t *testing.T) {
 	// else.
 	cfg := amari()
 	tb := newTestbed(t, cfg, 8, // noisy capture: aliasing happens
-		WithVerifyMSG4(false), WithInactivityTimeout(500))
+		WithVerifyMSG4(false), WithIdleHorizon(250*time.Millisecond))
 	real := make(map[uint16]bool)
 	for i := 0; i < 16; i++ {
 		real[tb.gnb.AddUE(bulk(cfg), -1)] = true

@@ -55,32 +55,16 @@ func WithVerifyMSG4(v bool) Option {
 	return func(s *Scope) { s.verifyMSG4 = v }
 }
 
-// WithInactivityTimeout drops UEs unseen for the given number of slots
-// (they left the RAN; their C-RNTI may be reassigned). Default 20000.
-func WithInactivityTimeout(slots int) Option {
-	return func(s *Scope) {
-		if slots > 0 {
-			s.inactivitySlots = slots
-		}
-	}
-}
-
-// WithIdleHorizon expresses UE inactivity eviction as a wall-clock
-// duration instead of slots: once the numerology is known the horizon
-// converts to an inactivity timeout, so live scope, fusion, and history
-// can share one eviction knob. Overrides WithInactivityTimeout.
+// WithIdleHorizon drops UEs unseen for longer than d (they left the
+// RAN; their C-RNTI may be reassigned). The horizon converts to slots
+// once the numerology is known, so live scope, fusion and history share
+// one wall-clock eviction knob. Default 20000 slots.
 func WithIdleHorizon(d time.Duration) Option {
 	return func(s *Scope) {
 		if d > 0 {
 			s.idleHorizon = d
 		}
 	}
-}
-
-// WithThroughputWindow sets the sliding window of the bitrate estimator.
-// Default 100 ms.
-func WithThroughputWindow(d time.Duration) Option {
-	return func(s *Scope) { s.window = d }
 }
 
 // WithDMRSGate toggles the DMRS-correlation occupancy gate that lets the
@@ -112,9 +96,13 @@ func WithManualCellInfo(mib rrc.MIB, sib1 rrc.SIB1) Option {
 		s.commonCfg = dci.Config{BWPPRBs: s.coreset.NumPRB, TimeAllocRows: len(phy.DefaultTimeAllocTable), MaxHARQ: 16}
 		s.sib1 = &s1
 		s.dataCfg = dci.Config{BWPPRBs: s1.CarrierPRBs, TimeAllocRows: s1.TimeAllocRows, MaxHARQ: 16}
-		s.estimator = telemetry.NewWindowEstimator(s.window, m.Mu.SlotDuration())
+		s.estimator = telemetry.NewWindowEstimator(throughputWindow, m.Mu.SlotDuration())
 	}
 }
+
+// throughputWindow is the sliding window of the bitrate estimator
+// (§3.2.2).
+const throughputWindow = 100 * time.Millisecond
 
 // raContentionWindow is how long a TC-RNTI announced by a RAR stays
 // eligible for MSG4: the largest ra-ContentionResolutionTimer of
@@ -177,8 +165,7 @@ type Scope struct {
 	verifyMSG4      bool
 	dmrsGate        bool
 	inactivitySlots int
-	idleHorizon     time.Duration // optional wall-clock form of the above
-	window          time.Duration
+	idleHorizon     time.Duration // wall-clock form of the above
 
 	// Acquired cell state.
 	mib       *rrc.MIB
@@ -217,7 +204,6 @@ func New(cellID uint16, opts ...Option) *Scope {
 		verifyMSG4:      true,
 		dmrsGate:        true,
 		inactivitySlots: 20000,
-		window:          100 * time.Millisecond,
 		ues:             make(map[uint16]*UETrack),
 		scratch:         &slotScratch{},
 	}
@@ -302,7 +288,7 @@ func (s *Scope) merge(res *decodeResult) *SlotResult {
 	if res.sib1 != nil && s.sib1 == nil {
 		s.sib1 = res.sib1
 		s.dataCfg = dci.Config{BWPPRBs: res.sib1.CarrierPRBs, TimeAllocRows: res.sib1.TimeAllocRows, MaxHARQ: 16}
-		s.estimator = telemetry.NewWindowEstimator(s.window, s.mib.Mu.SlotDuration())
+		s.estimator = telemetry.NewWindowEstimator(throughputWindow, s.mib.Mu.SlotDuration())
 		out.SIB1Acquired = true
 		met.sib1Acquired.Inc()
 	}

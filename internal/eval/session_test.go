@@ -2,6 +2,7 @@ package eval
 
 import (
 	"testing"
+	"time"
 
 	"nrscope/internal/channel"
 	"nrscope/internal/core"
@@ -70,7 +71,7 @@ func TestSessionWithPopulation(t *testing.T) {
 	res, err := Run(SessionConfig{
 		Cell:       ran.AmarisoftCell(),
 		ScopeSNRdB: 25,
-		ScopeOpts:  []core.Option{core.WithInactivityTimeout(800)},
+		ScopeOpts:  []core.Option{core.WithIdleHorizon(400 * time.Millisecond)},
 		Population: &pop,
 		Slots:      8000, // 4 s
 		Seed:       1234,

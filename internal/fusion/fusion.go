@@ -11,8 +11,8 @@
 // than a claim.
 //
 // The aggregator is strictly memory-bounded: every ingested record is
-// folded into a history.Store (either its own, or one shared with the
-// -history query API), and the windowed views — Merged, carrier
+// folded into a history.Store (either its own, or one shared with a
+// history query API), and the windowed views — Merged, carrier
 // aggregation — are reconstructed from the store's fixed-depth bin
 // rings. Per-UE session accounting is a compact fixed-size struct per
 // retained C-RNTI, swept by the idle horizon; detected handovers live in
@@ -26,7 +26,6 @@ import (
 	"sort"
 	"time"
 
-	"nrscope/internal/bus"
 	"nrscope/internal/history"
 	"nrscope/internal/phy"
 	"nrscope/internal/telemetry"
@@ -142,16 +141,14 @@ type Aggregator struct {
 	ownStore bool
 
 	handovers []handoverRec
-
-	bus *bus.Bus // optional: mirror the fused stream onto a bus
 }
 
 // New creates an aggregator backed by its own history store at the
 // 10 ms activity-bin width.
 func New() *Aggregator { return NewWithStore(nil) }
 
-// NewWithStore creates an aggregator publishing into st — typically the
-// store already serving the -history query API, so one copy of the bins
+// NewWithStore creates an aggregator publishing into st — typically a
+// store already serving the /history query API, so one copy of the bins
 // backs both. The store's bin width becomes the correlation bin. A nil
 // st allocates a private store at the 10 ms activity bin.
 func NewWithStore(st *history.Store) *Aggregator {
@@ -194,12 +191,6 @@ func (a *Aggregator) AddCell(cellID uint16, mu phy.Numerology) error {
 	return nil
 }
 
-// PublishTo mirrors every record Ingest accepts onto a telemetry bus,
-// making the aggregator a bus producer: downstream sinks see the fused
-// multi-cell stream through the same distribution layer as a single
-// scope's feed. Pass nil to stop mirroring.
-func (a *Aggregator) PublishTo(b *bus.Bus) { a.bus = b }
-
 // Ingest feeds one record from a cell's scope into the aggregate: the
 // history store gets the bin-level data, the cell gets its compact
 // session accounting.
@@ -213,9 +204,6 @@ func (a *Aggregator) Ingest(cellID uint16, rec telemetry.Record) error {
 	c.records++
 	if a.IdleHorizon > 0 && c.records%512 == 0 {
 		c.evictIdle(at - a.IdleHorizon)
-	}
-	if a.bus != nil {
-		_ = a.bus.Publish(rec) // closed bus: the aggregate still holds the record
 	}
 	if rec.Common {
 		return nil
@@ -347,29 +335,43 @@ func (c CACandidate) String() string {
 
 // CarrierAggregation scans cross-cell session pairs over the history
 // store's retained window and returns those whose activity-mask overlap
-// meets minOverlap (e.g. 0.7). Sessions active in fewer than ten bins
-// are ignored: tiny sessions correlate by chance.
+// meets minOverlap (e.g. 0.7).
 func (a *Aggregator) CarrierAggregation(minOverlap float64) []CACandidate {
-	var all []history.SeriesMask
+	var masks []history.SeriesMask
 	for _, c := range a.cells {
-		for _, s := range a.store.UEs(c.id) {
-			m, ok := a.store.ActivityMask(c.id, s.RNTI)
-			if ok && m.Active >= minCABins {
-				all = append(all, m)
-			}
+		masks = AppendMasks(masks, a.store, c.id)
+	}
+	return MatchCarriers(masks, minOverlap)
+}
+
+// AppendMasks appends the activity masks of a cell's retained sessions
+// to dst. Sessions active in fewer than ten bins are left out: tiny
+// sessions correlate by chance.
+func AppendMasks(dst []history.SeriesMask, st *history.Store, cellID uint16) []history.SeriesMask {
+	for _, s := range st.UEs(cellID) {
+		m, ok := st.ActivityMask(cellID, s.RNTI)
+		if ok && m.Active >= minCABins {
+			dst = append(dst, m)
 		}
 	}
+	return dst
+}
+
+// MatchCarriers pairs masks from different cells whose overlap meets
+// minOverlap, best first. The masks may come from several stores (the
+// shard partitions) as long as they share one bin width.
+func MatchCarriers(masks []history.SeriesMask, minOverlap float64) []CACandidate {
 	var out []CACandidate
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[i].Cell == all[j].Cell {
+	for i := 0; i < len(masks); i++ {
+		for j := i + 1; j < len(masks); j++ {
+			if masks[i].Cell == masks[j].Cell {
 				continue
 			}
-			ov := all[i].Overlap(all[j])
+			ov := masks[i].Overlap(masks[j])
 			if ov >= minOverlap {
 				out = append(out, CACandidate{
-					CellA: all[i].Cell, CellB: all[j].Cell,
-					RNTIA: all[i].RNTI, RNTIB: all[j].RNTI,
+					CellA: masks[i].Cell, CellB: masks[j].Cell,
+					RNTIA: masks[i].RNTI, RNTIB: masks[j].RNTI,
 					Overlap: ov,
 				})
 			}

@@ -43,7 +43,7 @@ func TestAddCellValidation(t *testing.T) {
 }
 
 // TestAddCellSharedStore: handing the aggregator a store that already
-// has a cell registered (the -history wiring) must not fail AddCell.
+// has a cell registered (a shared query store) must not fail AddCell.
 func TestAddCellSharedStore(t *testing.T) {
 	st := history.New(history.Config{BinWidth: 10 * time.Millisecond, Depth: 64})
 	if err := st.AddCell(1, phy.Mu1.SlotDuration()); err != nil {

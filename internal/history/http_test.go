@@ -51,7 +51,8 @@ func TestReplayedCaptureWindowedAggregates(t *testing.T) {
 	}
 	slots := int(1500 * time.Millisecond / tb.TTI())
 	for i := 0; i < slots; i++ {
-		cap, _ := tb.StepCapture()
+		cap := tb.StepRaw()
+		tb.Scope.ProcessSlot(cap)
 		if err := w.Append(cap); err != nil {
 			t.Fatal(err)
 		}

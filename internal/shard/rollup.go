@@ -32,6 +32,7 @@ type ShardHealth struct {
 	Dropped       int64    `json:"dropped_total"`
 	Rejected      int64    `json:"rejected_total"`
 	DecodedSlots  int64    `json:"decoded_slots_total"`
+	Records       int64    `json:"decoded_records_total"`
 	Restarts      int64    `json:"restarts_total"`
 	Stalls        int64    `json:"stalls_total"`
 	TrackedUEs    int      `json:"tracked_ues"`
@@ -50,6 +51,7 @@ type Rollup struct {
 	Applied      int64         `json:"applied_total"`
 	Dropped      int64         `json:"dropped_total"`
 	DecodedSlots int64         `json:"decoded_slots_total"`
+	Records      int64         `json:"decoded_records_total"`
 	Restarts     int64         `json:"restarts_total"`
 	PerShard     []ShardHealth `json:"per_shard"`
 }
@@ -72,6 +74,7 @@ func (s *Supervisor) Health() Rollup {
 			Dropped:       sh.dropped.Load(),
 			Rejected:      sh.rejected.Load(),
 			DecodedSlots:  sh.decoded.Load(),
+			Records:       sh.records.Load(),
 			Restarts:      sh.restarts.Load(),
 			Stalls:        sh.stalls.Load(),
 			TrackedUEs:    sh.store.TrackedUEs(),
@@ -84,6 +87,7 @@ func (s *Supervisor) Health() Rollup {
 		r.Applied += h.Applied
 		r.Dropped += h.Dropped
 		r.DecodedSlots += h.DecodedSlots
+		r.Records += h.Records
 		r.Restarts += h.Restarts
 		r.PerShard = append(r.PerShard, h)
 	}
@@ -166,21 +170,18 @@ func (s *Supervisor) Handovers() []fusion.Handover {
 	return out
 }
 
-// CarrierAggregation merges every shard's carrier-aggregation
-// candidates above minOverlap (empty without Fusion).
+// CarrierAggregation correlates the retained sessions of every
+// partition's cells with each other, so carrier pairs are matched
+// across shards as well as within one (the partitions share one bin
+// width).
 func (s *Supervisor) CarrierAggregation(minOverlap float64) []fusion.CACandidate {
-	var out []fusion.CACandidate
+	var masks []history.SeriesMask
 	for _, sh := range s.shards {
-		if sh.agg == nil {
-			continue
+		for _, cell := range sh.cellIDs {
+			masks = fusion.AppendMasks(masks, sh.store, cell)
 		}
-		sh.applyMu.Lock()
-		cas := sh.agg.CarrierAggregation(minOverlap)
-		sh.applyMu.Unlock()
-		out = append(out, cas...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Overlap > out[j].Overlap })
-	return out
+	return fusion.MatchCarriers(masks, minOverlap)
 }
 
 // Mount registers the /shards/* rollup endpoints on a mux (obs.Server

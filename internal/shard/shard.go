@@ -17,8 +17,9 @@
 //
 // Cross-shard queries go through the rollup layer (rollup.go): fused
 // TopK over every partition, merged deployment snapshots, per-shard
-// health with queue depth/drops/restarts, and merged handover /
-// carrier-aggregation candidates when per-shard fusion is on. Per-shard
+// health with queue depth/drops/restarts, carrier-aggregation
+// candidates correlated across every partition, and merged handover
+// candidates when per-shard fusion is on. Per-shard
 // backpressure and health are exported via internal/obs under
 // nrscope_shard_* (metrics.go).
 package shard
@@ -73,10 +74,10 @@ type Config struct {
 	// is per partition.
 	History history.Config
 	// Fusion gives each shard its own fusion.Aggregator folding into
-	// the shard's partition store: handover and carrier-aggregation
-	// candidates are detected within a shard's cells and merged by the
-	// rollup layer (cross-shard pairs are not matched — partitioning
-	// trades that for isolation).
+	// the shard's partition store: handover candidates are detected
+	// within a shard's cells and merged by the rollup layer (cross-shard
+	// handovers are not matched — partitioning trades that for
+	// isolation).
 	Fusion bool
 	// Bus, if set, receives every applied record: each shard worker is
 	// its own publisher goroutine into the (thread-safe) bus, so -sink
@@ -524,6 +525,7 @@ type shardState struct {
 	dropped  atomic.Int64 // queue evictions + close-time discards
 	rejected atomic.Int64 // pushes refused by a closed queue
 	decoded  atomic.Int64 // slot captures blind-decoded in the worker
+	records  atomic.Int64 // telemetry records those decodes produced
 	restarts atomic.Int64
 	stalls   atomic.Int64
 }
@@ -712,6 +714,7 @@ func (sh *shardState) applyBatch(batch []item) []telemetry.Record {
 		case it.cap != nil:
 			res := sh.scopes[it.cell].ProcessSlot(it.cap)
 			sh.decoded.Add(1)
+			sh.records.Add(int64(len(res.Records)))
 			sh.met.decoded.Inc()
 			for _, rec := range res.Records {
 				sh.fold(it.cell, rec)

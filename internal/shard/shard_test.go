@@ -322,6 +322,44 @@ func TestFusionShardsDetectHandovers(t *testing.T) {
 	}
 }
 
+func TestCarrierAggregationAcrossShards(t *testing.T) {
+	// Cells 1 and 2 land on different shards. A device active on both
+	// carriers in the same bins must still pair up across them. A second
+	// cell-2 session, active in every other bin, lies inside 0x4601's
+	// activity and pairs with it too; sessions on one cell never pair.
+	sup := newTestSupervisor(t, Config{Shards: 2}, 2)
+	p1, _ := sup.Partition(1)
+	if p2, _ := sup.Partition(2); p1 == p2 {
+		t.Fatal("cells 1 and 2 share a shard")
+	}
+	for i := 0; i < 40; i++ {
+		tms := float64(i) * 100 // one 100 ms bin per record
+		for _, r := range []struct {
+			cell uint16
+			rnti uint16
+		}{{1, 0x4601}, {2, 0x4602}} {
+			if err := sup.Ingest(r.cell, trec(i, r.rnti, 4096, tms)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%2 == 0 {
+			if err := sup.Ingest(2, trec(i, 0x4603, 4096, tms)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sup.Flush()
+	cas := sup.CarrierAggregation(0.7)
+	if len(cas) != 2 {
+		t.Fatalf("carrier-aggregation candidates = %v, want 0x4601 paired with 0x4602 and 0x4603", cas)
+	}
+	for _, ca := range cas {
+		if ca.CellA == ca.CellB {
+			t.Fatalf("same-cell candidate %v", ca)
+		}
+	}
+}
+
 func TestMountServesRollups(t *testing.T) {
 	sup := newTestSupervisor(t, Config{Shards: 2}, 4)
 	for c := 1; c <= 4; c++ {

@@ -65,13 +65,9 @@ var (
 	WithDCIThreads = core.WithDCIThreads
 	// WithVerifyMSG4 toggles RRC-Setup PDSCH verification of new UEs.
 	WithVerifyMSG4 = core.WithVerifyMSG4
-	// WithInactivityTimeout ages out silent UEs after n slots.
-	WithInactivityTimeout = core.WithInactivityTimeout
 	// WithIdleHorizon ages out silent UEs after a wall-clock duration
 	// (converted to slots once the cell's numerology is known).
 	WithIdleHorizon = core.WithIdleHorizon
-	// WithThroughputWindow sets the bitrate estimator window.
-	WithThroughputWindow = core.WithThroughputWindow
 	// WithDMRSGate toggles the candidate occupancy pre-filter.
 	WithDMRSGate = core.WithDMRSGate
 	// WithBus publishes every emitted record onto a telemetry bus.
@@ -211,18 +207,10 @@ func (tb *Testbed) AttachUE(profile UEProfile) uint16 {
 }
 
 // Step advances the whole chain one TTI and returns the scope's output.
+// The capture grid is reused on the second-following step.
 func (tb *Testbed) Step() *SlotResult {
-	_, res := tb.StepCapture()
-	return res
-}
-
-// StepCapture advances one TTI and returns both the radio capture (for
-// recording, see internal/capfile) and the scope's output. The capture
-// grid is reused on the second-following step.
-func (tb *Testbed) StepCapture() (*Capture, *SlotResult) {
 	out := tb.GNB.Step()
-	cap := tb.RX.Capture(out.SlotIdx, out.Ref, out.Grid)
-	return cap, tb.Scope.ProcessSlot(cap)
+	return tb.Scope.ProcessSlot(tb.RX.Capture(out.SlotIdx, out.Ref, out.Grid))
 }
 
 // StepRaw advances one TTI and returns the radio capture WITHOUT

@@ -57,7 +57,7 @@ func TestUEProfileMobilityMapping(t *testing.T) {
 }
 
 func TestSessionBoundedUEDeparts(t *testing.T) {
-	tb, err := NewTestbed(AmarisoftPreset, 11, WithInactivityTimeout(600))
+	tb, err := NewTestbed(AmarisoftPreset, 11, WithIdleHorizon(300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
